@@ -3,18 +3,18 @@
 // measured (value and unit), the operation ledger and notes.
 //
 //   relbench_harness --flat F --snapshot S --reference R --relacc BIN
-//       --work-dir D --seed N --completion heuristic --threads 4
-//       --pipeline-seconds S --min-passes N --rates r0,r1,... --base-rate R
-//       --base-seconds S --warmup-seconds S --step-seconds S --latency-limit-ms L
-//       --serve 0|1 --serve-setup 0|1 --setup-starts N --trace 0|1
-//       [--trace-out F]
+//       --work-dir D --seed N --completion heuristic|best --threads N
+//       --passes N --base-rate R --base-seconds S --serve-setup 0|1
+//       --trace 0|1 [--trace-out F]
 //
-// Exit code 0 when every output check passed, 1 otherwise.
+// Every flag but --trace-out is required; run.py's WORKLOADS table holds
+// the values of each workload. --base-rate 0 skips the serve phase.
+// Exit code 0 when every output check passed, 1 otherwise, 2 on a usage
+// error.
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "phases.h"
@@ -33,14 +33,6 @@ std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-std::vector<double> ParseRates(const std::string& text) {
-  std::vector<double> rates;
-  std::stringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) rates.push_back(std::stod(item));
-  return rates;
-}
-
 relacc::CompletionPolicy ParseCompletion(const std::string& name) {
   if (name == "best") return relacc::CompletionPolicy::kBestCandidate;
   if (name == "none") return relacc::CompletionPolicy::kLeaveNull;
@@ -51,58 +43,61 @@ relacc::CompletionPolicy ParseCompletion(const std::string& name) {
 
 int main(int argc, char** argv) {
   std::map<std::string, std::string> args = ParseArgs(argc, argv);
-  const auto get = [&](const std::string& key, const std::string& fallback) {
+  const auto get = [&](const std::string& key) {
     auto it = args.find(key);
-    return it == args.end() ? fallback : it->second;
+    if (it == args.end()) {
+      std::fprintf(stderr, "relbench_harness: missing --%s\n", key.c_str());
+      std::exit(2);
+    }
+    return it->second;
   };
-  const bool trace = get("trace", "0") == "1";
+  const bool trace = get("trace") == "1";
 
   relbench::PipelineConfig pipeline;
-  pipeline.flat_path = get("flat", "");
-  relacc::Result<std::string> reference = relacc::ReadFile(get("reference", ""));
-  if (!reference.ok() || pipeline.flat_path.empty()) {
-    std::fprintf(stderr, "relbench_harness: missing --flat or --reference\n");
+  pipeline.flat_path = get("flat");
+  relacc::Result<std::string> reference = relacc::ReadFile(get("reference"));
+  if (!reference.ok()) {
+    std::fprintf(stderr, "relbench_harness: cannot read --reference\n");
     return 2;
   }
   pipeline.reference = reference.value();
-  pipeline.completion = ParseCompletion(get("completion", "heuristic"));
-  pipeline.threads = std::stoi(get("threads", "4"));
-  pipeline.seconds = std::stod(get("pipeline-seconds", "10"));
-  pipeline.min_passes = std::stoi(get("min-passes", "3"));
+  pipeline.completion = ParseCompletion(get("completion"));
+  pipeline.threads = std::stoi(get("threads"));
+  pipeline.passes = std::stoi(get("passes"));
 
   relbench::ServeConfig serve;
-  serve.relacc_bin = get("relacc", "");
-  serve.snapshot = get("snapshot", "");
-  serve.work_dir = get("work-dir", ".");
+  serve.relacc_bin = get("relacc");
+  serve.snapshot = get("snapshot");
+  serve.work_dir = get("work-dir");
   serve.reference = pipeline.reference;
-  serve.completion = get("completion", "heuristic");
-  serve.replicas = std::stoi(get("replicas", "2"));
-  serve.threads_per_replica = std::stoi(get("replica-threads", "2"));
-  serve.seed = std::stoull(get("seed", "1"));
-  serve.rates = ParseRates(get("rates", "100"));
-  serve.base_rate = std::stod(get("base-rate", "100"));
-  serve.base_seconds = std::stod(get("base-seconds", "5"));
-  serve.warmup_seconds = std::stod(get("warmup-seconds", "1"));
-  serve.step_seconds = std::stod(get("step-seconds", "2"));
-  serve.latency_limit_ms = std::stod(get("latency-limit-ms", "100"));
-  serve.setup_starts = std::stoi(get("setup-starts", "1"));
-  serve.batch_window = std::stoi(get("batch-window", "0"));
-  const bool serve_setup = get("serve-setup", "0") == "1";
+  serve.completion = get("completion");
+  serve.seed = std::stoull(get("seed"));
+  serve.base_rate = std::stod(get("base-rate"));
+  serve.base_seconds = std::stod(get("base-seconds"));
+  const bool serve_setup = get("serve-setup") == "1";
+  pipeline.report_setup = !serve_setup;
 
   relbench::Results results;
   relbench::PipelineState state;
   relbench::Tracer tracer;
+  // Untraced, the pipeline passes come in two parts, before and after the
+  // serve phase, so entities_per_s samples the machine across the run.
+  const bool serve_phase = serve.base_rate > 0.0;
+  const int parts = serve_phase ? 2 : 1;
   if (trace) {
     relbench::TracePipelinePhase(pipeline, &tracer, &results, &state);
   } else {
-    relbench::RunPipelinePhase(pipeline, &results, &state);
+    relbench::RunPipelinePhase(pipeline, 0, parts, &results, &state);
     if (!serve_setup) {
       results.Set("peak_rss_mb", relbench::PeakRssMb("/proc/self/status"), "MB");
     }
   }
-  if (results.failed == 0 && get("serve", "1") == "1") {
+  if (results.failed == 0 && serve_phase) {
     relbench::RunServePhase(serve, state, serve_setup, trace ? &tracer : nullptr,
                             &results);
+  }
+  if (!trace && parts > 1 && results.failed == 0) {
+    relbench::RunPipelinePhase(pipeline, 1, parts, &results, &state);
   }
   relbench::RecordInputSizes(state, &results);
   if (trace && args.count("trace-out") > 0) {

@@ -19,22 +19,28 @@ struct PipelineConfig {
   std::string reference;   ///< bytes `relacc pipeline --json` printed
   relacc::CompletionPolicy completion = relacc::CompletionPolicy::kHeuristic;
   int threads = 4;
-  double seconds = 10.0;   ///< keep running passes this long ...
-  int min_passes = 3;      ///< ... but never fewer than this many
-  int min_setups = 5;      ///< setup samples behind setup_s
+  int passes = 3;          ///< untraced full passes
+  int min_setups = 15;     ///< setup samples behind setup_s
+  bool report_setup = true;  ///< false: the serve phase's daemon start is setup_s
 };
 
 /// What the pipeline phase hands on to the serve phase.
 struct PipelineState {
   relacc::SpecDocument doc;
   std::vector<relacc::EntityInstance> entities;  ///< resolved, input order
+  std::vector<double> setup_s;     ///< untraced set-up samples so far
+  std::vector<double> pipeline_s;  ///< untraced pass wall times so far
 };
 
 /// Untraced: repeated full passes (spec load + Create = setup; ER +
 /// session + report encoding = pipeline), every report checked against
-/// the reference. Sets setup_s and entities_per_s.
-void RunPipelinePhase(const PipelineConfig& config, Results* results,
-                      PipelineState* state);
+/// the reference. The passes and set-ups of `config` are split
+/// into `parts` calls (part 0 .. parts-1) that the caller spreads over
+/// the run, so the samples see the machine across all of it; the last
+/// part sets entities_per_s (and, with report_setup, setup_s) from every
+/// sample.
+void RunPipelinePhase(const PipelineConfig& config, int part, int parts,
+                      Results* results, PipelineState* state);
 
 /// Traced: replays the pipeline at one thread with a span around every
 /// public layer call, then runs it untraced at 1 and at `threads`
@@ -43,34 +49,27 @@ void RunPipelinePhase(const PipelineConfig& config, Results* results,
 void TracePipelinePhase(const PipelineConfig& config, Tracer* tracer,
                         Results* results, PipelineState* state);
 
-/// Inputs of the serve phase: a `relacc serve` daemon with `replicas`
-/// replicas of `threads_per_replica` threads each, warm-started from
-/// `snapshot`, under an open-loop deduce stream plus one closed-loop
-/// batch tenant.
+/// Inputs of the serve phase: a `relacc serve` daemon warm-started
+/// from `snapshot` under an open-loop deduce stream plus one closed-loop
+/// batch tenant. The deployment (replicas, threads, batch window) and
+/// the ladder's shape are constants of serve_phase.cc, the same for
+/// every workload.
 struct ServeConfig {
   std::string relacc_bin;   ///< the relacc CLI to launch
   std::string snapshot;     ///< artifact the replicas open
-  std::string work_dir;     ///< port file and daemon log go here
+  std::string work_dir;     ///< the daemon log goes here
   std::string reference;    ///< expected pipeline.finish document
   std::string completion = "heuristic";
-  int replicas = 2;
-  int threads_per_replica = 2;
   uint64_t seed = 1;
-  std::vector<double> rates;  ///< the ladder, run in ascending order
-  double base_rate = 100.0;   ///< the ladder rate deduce_p50/p99 come from
-  double base_seconds = 5.0;  ///< base-rate step length
-  double warmup_seconds = 1.0;  ///< unrecorded lead-in at the base rate
-  double step_seconds = 2.0;  ///< length of every higher step
-  double latency_limit_ms = 100.0;
-  int setup_starts = 1;       ///< daemon starts timed for setup_s
-  int batch_window = 0;       ///< batch tenant's session window; 0 = default
+  double base_rate = 0.0;     ///< first ladder rate; deduce_p50/p99 come from it
+  double base_seconds = 0.0;  ///< base-rate step length
 };
 
 /// Runs the serve phase over `state->entities`. Sets deduce_p50_ms,
 /// deduce_p99_ms, deduce_max_rps and batch_entities_per_s; with
 /// `serve_setup` also setup_s (daemon start until it answers) and
-/// peak_rss_mb (the daemon's, read before the ladder's top step, which
-/// overloads it on purpose). With a tracer it also replays the
+/// peak_rss_mb (the daemon's, read after the base step, before the
+/// climb overloads it on purpose). With a tracer it also replays the
 /// deduce and batch-window calls directly and sets the serve, wire,
 /// snapshot, rules and chase per-layer metrics of the serve path.
 void RunServePhase(const ServeConfig& config, const PipelineState& state,

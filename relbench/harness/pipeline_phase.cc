@@ -60,49 +60,21 @@ std::unique_ptr<AccuracyService> CreateService(const Specification& spec,
   return service.ok() ? std::move(service).value() : nullptr;
 }
 
-/// One pipeline session over `entities`, encoded as `relacc pipeline
-/// --json` prints it. Empty on error.
-std::string RunSession(AccuracyService* service,
-                       std::vector<EntityInstance> entities,
-                       const Schema& schema) {
+/// One pipeline session over `entities`, as `relacc pipeline` runs it.
+Result<PipelineReport> RunSession(AccuracyService* service,
+                                  std::vector<EntityInstance> entities) {
   Result<std::unique_ptr<PipelineSession>> session = service->StartPipeline();
-  if (!session.ok()) return "";
-  if (!session.value()->Submit(std::move(entities)).ok()) return "";
-  Result<PipelineReport> report = session.value()->Finish();
-  if (!report.ok()) return "";
-  return serve::PipelineReportToJson(report.value(), schema).Dump(2) + "\n";
+  if (!session.ok()) return session.status();
+  Status submitted = session.value()->Submit(std::move(entities));
+  if (!submitted.ok()) return submitted;
+  return session.value()->Finish();
 }
 
-/// The aggregation PipelineSession::Finish performs, over per-entity
-/// reports in input order (the JSON document does not carry the plan).
-PipelineReport AggregateReports(std::vector<EntityReport> entities,
-                                const Schema& schema) {
-  PipelineReport report;
-  report.entities = std::move(entities);
-  report.targets = Relation(schema);
-  int64_t attrs_total = 0;
-  int64_t attrs_deduced = 0;
-  for (std::size_t i = 0; i < report.entities.size(); ++i) {
-    const EntityReport& e = report.entities[i];
-    report.total_tuples += e.num_tuples;
-    if (!e.church_rosser) {
-      ++report.num_non_church_rosser;
-      continue;
-    }
-    ++report.num_church_rosser;
-    attrs_total += schema.size();
-    attrs_deduced += e.deduced_attrs;
-    if (e.complete && !e.used_candidate) ++report.num_complete_by_chase;
-    if (e.complete && e.used_candidate) ++report.num_completed_by_candidates;
-    if (!e.complete) ++report.num_incomplete;
-    report.targets.Add(e.target);
-    report.row_entity.push_back(static_cast<int>(i));
-  }
-  report.deduced_attr_fraction =
-      attrs_total > 0 ? static_cast<double>(attrs_deduced) /
-                            static_cast<double>(attrs_total)
-                      : 0.0;
-  return report;
+/// A report as `relacc pipeline --json` prints it; empty on error.
+std::string ReportJson(const Result<PipelineReport>& report,
+                       const Schema& schema) {
+  if (!report.ok()) return "";
+  return serve::PipelineReportToJson(report.value(), schema).Dump(2) + "\n";
 }
 
 /// Rule indices of each form, in specification order.
@@ -144,16 +116,17 @@ GroundProgram MergePrograms(GroundProgram form1, const std::vector<int>& index1,
 
 }  // namespace
 
-void RunPipelinePhase(const PipelineConfig& config, Results* results,
-                      PipelineState* state) {
-  std::vector<double> setup_s;
-  std::vector<double> pipeline_s;
+void RunPipelinePhase(const PipelineConfig& config, int part, int parts,
+                      Results* results, PipelineState* state) {
+  // This part's share; the first parts take the remainders.
+  const auto share = [&](int total) {
+    return total / parts + (part < total % parts ? 1 : 0);
+  };
+  const int passes = share(config.passes);
+  const int min_setups = share(config.min_setups);
   std::size_t entity_count = 0;
-  const Clock::time_point phase_start = Clock::now();
-  for (int pass = 0;
-       pass < config.min_passes ||
-       MsBetween(phase_start, Clock::now()) < config.seconds * 1000.0;
-       ++pass) {
+  int setups = 0;
+  for (int pass = 0; pass < passes; ++pass, ++setups) {
     const Clock::time_point t0 = Clock::now();
     SpecDocument doc = LoadSpec(config.flat_path);
     std::unique_ptr<AccuracyService> service =
@@ -167,28 +140,31 @@ void RunPipelinePhase(const PipelineConfig& config, Results* results,
     ResolutionResult resolution =
         ResolveEntities(doc.spec.ie, KeyResolver(schema));
     entity_count = resolution.entities.size();
-    if (pass == 0) state->entities = resolution.entities;
-    const std::string report =
-        RunSession(service.get(), std::move(resolution.entities), schema);
+    const bool first = state->pipeline_s.empty();
+    if (first) state->entities = resolution.entities;
+    const std::string report = ReportJson(
+        RunSession(service.get(), std::move(resolution.entities)), schema);
     const Clock::time_point t2 = Clock::now();
     results->Check(report == config.reference,
-                   "pipeline pass " + std::to_string(pass) +
+                   "pipeline part " + std::to_string(part) + " pass " +
+                       std::to_string(pass) +
                        ": report differs from relacc pipeline --json");
-    setup_s.push_back(MsBetween(t0, t1) / 1000.0);
-    pipeline_s.push_back(MsBetween(t1, t2) / 1000.0);
-    if (pass == 0) state->doc = std::move(doc);
+    state->setup_s.push_back(MsBetween(t0, t1) / 1000.0);
+    state->pipeline_s.push_back(MsBetween(t1, t2) / 1000.0);
+    if (first) state->doc = std::move(doc);
   }
-  while (static_cast<int>(setup_s.size()) < config.min_setups) {
+  for (; setups < min_setups; ++setups) {
     const Clock::time_point t0 = Clock::now();
     SpecDocument doc = LoadSpec(config.flat_path);
     std::unique_ptr<AccuracyService> service =
         CreateService(doc.spec, config.threads, config.completion);
-    setup_s.push_back(MsBetween(t0, Clock::now()) / 1000.0);
+    state->setup_s.push_back(MsBetween(t0, Clock::now()) / 1000.0);
     results->Check(service != nullptr, "pipeline: AccuracyService::Create failed");
   }
-  const Summary setup = Summary::Of(setup_s);
-  const Summary wall = Summary::Of(pipeline_s);
-  results->Set("setup_s", setup.median, "s");
+  if (part + 1 < parts) return;
+  const Summary setup = Summary::Of(state->setup_s);
+  const Summary wall = Summary::Of(state->pipeline_s);
+  if (config.report_setup) results->Set("setup_s", setup.median, "s");
   results->Set("entities_per_s",
                static_cast<double>(entity_count) / wall.median, "1/s");
   results->notes.Set("pipeline_setup_s", setup.ToJson());
@@ -285,16 +261,11 @@ void TracePipelinePhase(const PipelineConfig& config, Tracer* tracer,
     reports.push_back(std::move(report));
     tracer->End(span);
   }
-  const PipelineReport replayed = AggregateReports(std::move(reports), schema);
-  const std::string replay_json = tracer->Time("wire.report_encode", -1, -1, [&] {
-    return serve::PipelineReportToJson(replayed, schema).Dump(2) + "\n";
-  });
-  results->Check(replay_json == config.reference,
-                 "trace: replayed report differs from relacc pipeline --json");
 
   // --- untraced runs: 1 thread (coverage) and `threads` (speedup) --------
   double wall_1t_ms = 0.0;
   double session_1t_ms = 0.0;
+  Result<PipelineReport> report_1t = Status::Internal("not run");
   {
     const Clock::time_point t0 = Clock::now();
     SpecDocument doc1 = LoadSpec(config.flat_path);
@@ -303,9 +274,8 @@ void TracePipelinePhase(const PipelineConfig& config, Tracer* tracer,
     std::unique_ptr<AccuracyService> service =
         CreateService(doc1.spec, 1, config.completion);
     const Clock::time_point t1 = Clock::now();
-    const std::string out =
-        service ? RunSession(service.get(), std::move(res1.entities), schema1)
-                : "";
+    if (service) report_1t = RunSession(service.get(), std::move(res1.entities));
+    const std::string out = ReportJson(report_1t, schema1);
     const Clock::time_point t2 = Clock::now();
     wall_1t_ms = MsBetween(t0, t2);
     session_1t_ms = MsBetween(t1, t2);
@@ -318,11 +288,37 @@ void TracePipelinePhase(const PipelineConfig& config, Tracer* tracer,
         CreateService(spec, config.threads, config.completion);
     const Clock::time_point t0 = Clock::now();
     const std::string out =
-        service ? RunSession(service.get(), resolution.entities, schema) : "";
+        service ? ReportJson(RunSession(service.get(), resolution.entities),
+                             schema)
+                : "";
     session_nt_ms = MsBetween(t0, Clock::now());
     results->Check(out == config.reference,
                    "trace: " + std::to_string(config.threads) +
                        "-thread report differs from relacc pipeline --json");
+  }
+
+  // The replay must reproduce the library's per-entity reports (the
+  // 1-thread session's, itself checked against the reference above).
+  std::size_t replay_mismatches = 0;
+  if (report_1t.ok() && report_1t.value().entities.size() == reports.size()) {
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      if (serve::EntityReportToJson(reports[i], schema).Dump() !=
+          serve::EntityReportToJson(report_1t.value().entities[i], schema)
+              .Dump()) {
+        ++replay_mismatches;
+      }
+    }
+  } else {
+    replay_mismatches = reports.size() + 1;
+  }
+  results->Check(replay_mismatches == 0,
+                 "trace: " + std::to_string(replay_mismatches) +
+                     " replayed entity reports differ from the pipeline "
+                     "session's");
+  if (report_1t.ok()) {
+    tracer->Time("wire.report_encode", -1, -1, [&] {
+      return serve::PipelineReportToJson(report_1t.value(), schema).Dump(2);
+    });
   }
 
   const double ground1 = tracer->TotalMs("rules.ground_form1");

@@ -3,6 +3,7 @@
 // streaming every resolved entity through pipeline.start/submit/finish.
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
 #include <sys/socket.h>
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <deque>
 #include <future>
 #include <memory>
@@ -39,6 +41,26 @@ using namespace relacc;
 
 namespace {
 
+// The deployment and the ladder, the same for every workload.
+constexpr int kReplicas = 2;  // replicas x threads <= nproc (4)
+constexpr int kReplicaThreads = 1;
+constexpr int kBatchWindow = 1;  // README.md, "Why the batch window is 1"
+constexpr double kWarmupSeconds = 1.0;  // unrecorded lead-in at the base rate
+constexpr double kStepSeconds = 0.5;    // every climb step
+constexpr double kLadderRatio = 1.15;   // a step's rate over the one before
+constexpr int kLadderMaxSteps = 24;     // per climb: up to base x 1.15^24
+constexpr int kLadderStopAfter = 2;     // consecutive failed steps end a climb
+constexpr int kClimbs = 5;              // deduce_max_rps is their median
+constexpr int kRestartBelow = 3;        // later climbs start 1.15^3 below it
+// A passing step's p99 bound. On a shared virtual machine, vCPU stalls
+// put tens of milliseconds into the tail at any rate, so the limit sits
+// above them; overload is caught by the backlog test below.
+constexpr double kLatencyLimitMs = 100.0;
+// A passing step's backlog may grow by at most this much work (requests
+// at the step's rate): about 7% overload over a 0.5 s step.
+constexpr double kBacklogGrowthMs = 25.0;
+constexpr int kSetupStarts = 15;  // daemon starts behind a serve setup_s
+
 /// A `relacc serve` child process. Stop() drains it with SIGTERM and
 /// waits; the destructor kills and reaps a daemon that was not stopped.
 class Daemon {
@@ -52,56 +74,64 @@ class Daemon {
       int status = 0;
       ::waitpid(pid_, &status, 0);
     }
+    if (stdout_ >= 0) ::close(stdout_);
   }
 
   /// Spawns the daemon and blocks until it answers a ping; returns the
-  /// milliseconds that took, or a negative value on failure.
+  /// milliseconds that took, or a negative value on failure. Readiness
+  /// is the listening line on the daemon's standard output, read as it
+  /// is written (no polling), then one ping.
   double Start(const ServeConfig& config) {
-    port_file_ = config.work_dir + "/serve.port";
-    ::unlink(port_file_.c_str());
+    int pipe_fds[2];
+    if (::pipe2(pipe_fds, O_CLOEXEC) != 0) return -1.0;
     std::vector<std::string> args = {
         config.relacc_bin, "serve",
         "--snapshot", config.snapshot,
         "--snapshot-strict",
-        "--replicas", std::to_string(config.replicas),
-        "--threads", std::to_string(config.threads_per_replica),
-        "--port", "0",
-        "--port-file", port_file_};
+        "--replicas", std::to_string(kReplicas),
+        "--threads", std::to_string(kReplicaThreads),
+        "--port", "0"};
     std::vector<char*> argv;
     for (std::string& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
     const std::string log = config.work_dir + "/serve.log";
     posix_spawn_file_actions_t actions;
     posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_addopen(&actions, 1, log.c_str(),
+    posix_spawn_file_actions_adddup2(&actions, pipe_fds[1], 1);
+    posix_spawn_file_actions_addopen(&actions, 2, log.c_str(),
                                      O_WRONLY | O_CREAT | O_APPEND, 0644);
-    posix_spawn_file_actions_adddup2(&actions, 1, 2);
     const Clock::time_point t0 = Clock::now();
     const int rc = posix_spawn(&pid_, argv[0], &actions, nullptr, argv.data(),
                                environ);
     posix_spawn_file_actions_destroy(&actions);
+    ::close(pipe_fds[1]);
+    stdout_ = pipe_fds[0];
     if (rc != 0) {
       pid_ = -1;
       return -1.0;
     }
-    while (MsBetween(t0, Clock::now()) < 60000.0) {
-      int status = 0;
-      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-        pid_ = -1;  // exited before it became ready
-        return -1.0;
-      }
-      Result<std::string> text = ReadFile(port_file_);
-      if (text.ok() && text.value().find('\n') != std::string::npos) {
-        port_ = std::stoi(text.value());
-        Result<std::unique_ptr<serve::ServeClient>> client =
-            serve::ServeClient::Connect("127.0.0.1", port_);
-        if (client.ok() && client.value()->Call("ping", Json::Object()).ok()) {
-          return MsBetween(t0, Clock::now());
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    // "relacc serve listening on <host>:<port> (N replicas)"
+    std::string line;
+    while (line.find('\n') == std::string::npos) {
+      pollfd p{stdout_, POLLIN, 0};
+      if (::poll(&p, 1, 60000) <= 0) return -1.0;
+      char buf[256];
+      const ssize_t got = ::read(stdout_, buf, sizeof(buf));
+      if (got <= 0) return -1.0;  // exited before it became ready
+      line.append(buf, static_cast<std::size_t>(got));
     }
-    return -1.0;
+    const std::size_t colon = line.rfind(':', line.find(" ("));
+    if (line.rfind("relacc serve listening on ", 0) != 0 ||
+        colon == std::string::npos) {
+      return -1.0;
+    }
+    port_ = std::atoi(line.c_str() + colon + 1);
+    Result<std::unique_ptr<serve::ServeClient>> client =
+        serve::ServeClient::Connect("127.0.0.1", port_);
+    if (!client.ok() || !client.value()->Call("ping", Json::Object()).ok()) {
+      return -1.0;
+    }
+    return MsBetween(t0, Clock::now());
   }
 
   /// SIGTERM, then wait for the drain. True on a clean exit 0.
@@ -119,8 +149,8 @@ class Daemon {
 
  private:
   pid_t pid_ = -1;
+  int stdout_ = -1;  ///< read end of the daemon's standard output
   int port_ = 0;
-  std::string port_file_;
 };
 
 /// A blocking call that honours the server's backpressure: a
@@ -153,8 +183,8 @@ struct Stream {
   std::mutex mu;
   std::unordered_map<int64_t, Request> inflight;
   std::deque<std::pair<Clock::time_point, Request>> retry;  ///< by time
-  std::vector<std::vector<double>> latency_ms;  ///< per step
-  std::vector<int64_t> step_failed;
+  std::vector<std::vector<double>> latency_ms;  ///< per slot (step)
+  std::vector<int64_t> step_failed;             ///< per slot
   int64_t retries = 0;
   std::vector<std::string> errors;
 };
@@ -228,6 +258,7 @@ bool SendDeduce(int fd, int64_t id, const Request& req,
 
 /// Outcome of the ladder for one rate step.
 struct StepResult {
+  int climb = -1;  ///< -1 for the base-rate step
   double rate = 0.0;
   Summary latency;
   int64_t failed = 0;
@@ -284,11 +315,8 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
                    bool serve_setup, Tracer* tracer, Results* results) {
   const Schema& schema = state.doc.spec.ie.schema();
   const std::vector<EntityInstance>& entities = state.entities;
-  if (entities.empty() ||
-      std::find(config.rates.begin(), config.rates.end(), config.base_rate) ==
-          config.rates.end()) {
-    results->Check(false, "serve: no resolved entities, or the base rate is "
-                          "not on the ladder");
+  if (entities.empty() || config.base_rate <= 0.0) {
+    results->Check(false, "serve: no resolved entities, or no base rate");
     return;
   }
 
@@ -332,9 +360,15 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
   }
 
   // --- the daemon ----------------------------------------------------------
+  //
+  // Half the timed starts come before the traffic (the last of them is
+  // the daemon under test), the rest after it, so setup_s samples the
+  // machine at both ends of the phase.
   std::vector<double> start_ms;
+  const int setup_starts = serve_setup ? kSetupStarts : 1;
+  const int starts_before = (setup_starts + 1) / 2;
   auto daemon = std::make_unique<Daemon>();
-  for (int s = 0; s < std::max(1, config.setup_starts); ++s) {
+  for (int s = 0; s < starts_before; ++s) {
     if (s > 0) {
       results->Check(daemon->Stop(), "serve: daemon did not drain cleanly");
       daemon = std::make_unique<Daemon>();
@@ -387,9 +421,7 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
       const Clock::time_point t0 = Clock::now();
       Json start = Json::Object();
       start.Set("completion", Json::Str(config.completion));
-      if (config.batch_window > 0) {
-        start.Set("window", Json::Int(config.batch_window));
-      }
+      start.Set("window", Json::Int(kBatchWindow));
       Result<Json> started = CallWithRetry(c, "pipeline.start", start,
                                            &batch_retries);
       if (!signalled) {
@@ -447,16 +479,20 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
   }
   const int fd = interactive.value()->fd();
   Stream stream;
-  stream.latency_ms.resize(config.rates.size() + 1);
-  stream.step_failed.assign(config.rates.size() + 1, 0);
   std::thread receiver(ReceiveLoop, fd, &expected, &stream);
 
   std::mt19937_64 rng(config.seed);
   std::uniform_int_distribution<int> pick(0, static_cast<int>(entities.size()) - 1);
   std::vector<double> lag_ms;
-  // Outstanding requests over time, per step: (ms into the step, count).
-  std::vector<std::vector<std::pair<double, int64_t>>> outstanding(
-      config.rates.size() + 1);
+  // Outstanding requests over time, per slot: (ms into the step, count).
+  std::vector<std::vector<std::pair<double, int64_t>>> outstanding;
+  const auto new_slot = [&] {
+    std::lock_guard<std::mutex> lock(stream.mu);
+    stream.latency_ms.emplace_back();
+    stream.step_failed.push_back(0);
+    outstanding.emplace_back();
+    return stream.latency_ms.size() - 1;
+  };
   int64_t next_id = 1;
   int64_t sent = 0;
   bool send_failed = false;
@@ -489,59 +525,116 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
     }
   };
 
-  // The schedule: a warm-up at the base rate (answers checked, latencies
-  // not counted: first-use costs are not the steady state), then the
-  // ladder in ascending order. Slot rates.size() holds the warm-up.
-  struct Step {
-    double rate;
-    double seconds;
-    std::size_t slot;
-  };
-  std::vector<Step> schedule = {
-      {config.base_rate, config.warmup_seconds, config.rates.size()}};
-  for (std::size_t s = 0; s < config.rates.size(); ++s) {
-    schedule.push_back({config.rates[s],
-                        config.rates[s] == config.base_rate ? config.base_seconds
-                                                            : config.step_seconds,
-                        s});
-  }
-  // The top step overloads the daemon on purpose; its request backlog is
-  // not the workload's memory, so the daemon's peak is read before it.
-  double daemon_rss_mb = 0.0;
-  Clock::time_point step_start = Clock::now() + std::chrono::milliseconds(5);
-  for (const Step& step : schedule) {
-    if (send_failed) break;
-    if (&step == &schedule.back()) {
-      std::this_thread::sleep_until(step_start);
-      daemon_rss_mb = PeakRssMb("/proc/" + std::to_string(daemon->pid()) +
-                                "/status");
-    }
-    const int64_t count = static_cast<int64_t>(step.rate * step.seconds);
+  // One step: `rate` requests per second on a fixed schedule for
+  // `seconds`, then a wait until every answer is in, so each step starts
+  // from an empty backlog. The answers are checked in ReceiveLoop.
+  const auto run_step = [&](double rate, double seconds, std::size_t slot) {
+    const Clock::time_point start = Clock::now() + std::chrono::milliseconds(2);
+    const int64_t count = static_cast<int64_t>(rate * seconds);
     for (int64_t k = 0; k < count && !send_failed; ++k) {
       const Clock::time_point due =
-          step_start + std::chrono::nanoseconds(static_cast<int64_t>(
-                           static_cast<double>(k) * 1e9 / step.rate));
+          start + std::chrono::nanoseconds(static_cast<int64_t>(
+                      static_cast<double>(k) * 1e9 / rate));
       send_retries(due);
       std::this_thread::sleep_until(due);
-      Request req{due, pick(rng), static_cast<int>(step.slot)};
+      Request req{due, pick(rng), static_cast<int>(slot)};
       if (!SendDeduce(fd, next_id++, req, entity_json, &stream)) {
         send_failed = true;
         break;
       }
       ++sent;
       lag_ms.push_back(MsBetween(due, Clock::now()));
-      outstanding[step.slot].push_back({MsBetween(step_start, Clock::now()),
-                                        outstanding_now()});
+      outstanding[slot].push_back({MsBetween(start, Clock::now()),
+                                   outstanding_now()});
     }
-    step_start +=
-        std::chrono::nanoseconds(static_cast<int64_t>(step.seconds * 1e9));
+    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(60);
+    while (!send_failed && outstanding_now() > 0 && Clock::now() < deadline) {
+      send_retries(Clock::now());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  // A step passes when no request failed, its guarded p99 is within the
+  // latency limit and the outstanding count did not grow: the last
+  // quarter's mean may exceed the first quarter's by no more than
+  // kBacklogGrowthMs of requests at this rate.
+  const auto evaluate = [&](double rate, std::size_t slot) {
+    StepResult r;
+    r.rate = rate;
+    {
+      std::lock_guard<std::mutex> lock(stream.mu);
+      r.latency = Summary::Of(stream.latency_ms[slot]);
+      r.failed = stream.step_failed[slot];
+    }
+    const auto& o = outstanding[slot];
+    if (o.size() >= 8) {
+      const std::size_t q = o.size() / 4;
+      double first = 0.0, last = 0.0;
+      for (std::size_t i = 0; i < q; ++i) {
+        first += static_cast<double>(o[i].second);
+        last += static_cast<double>(o[o.size() - 1 - i].second);
+      }
+      first /= static_cast<double>(q);
+      last /= static_cast<double>(q);
+      r.backlog_grew =
+          last - first > std::max(10.0, rate * kBacklogGrowthMs / 1000.0);
+    }
+    r.passed = r.failed == 0 && r.latency.n > 0 && !r.backlog_grew &&
+               r.latency.tail <= kLatencyLimitMs;
+    return r;
+  };
+
+  // One climb: steps from `from` up by kLadderRatio until
+  // kLadderStopAfter steps in a row fail. Returns the highest rate that
+  // passed, 0 if none did.
+  std::vector<StepResult> steps;
+  const auto climb = [&](int index, double from) {
+    double best = 0.0;
+    int failed_in_a_row = 0;
+    double rate = from;
+    for (int i = 0; i < kLadderMaxSteps && failed_in_a_row < kLadderStopAfter &&
+                    !send_failed;
+         ++i, rate *= kLadderRatio) {
+      const std::size_t slot = new_slot();
+      run_step(rate, kStepSeconds, slot);
+      steps.push_back(evaluate(rate, slot));
+      steps.back().climb = index;
+      if (steps.back().passed) {
+        best = rate;
+        failed_in_a_row = 0;
+      } else {
+        ++failed_in_a_row;
+      }
+    }
+    return best;
+  };
+
+  // The schedule: a warm-up at the base rate (answers checked, latencies
+  // not counted: first-use costs are not the steady state), then
+  // kClimbs climbs with the base-rate step split between the gaps, so
+  // both figures sample the machine across the whole phase. The first
+  // climb starts one step above the base rate, later ones kRestartBelow
+  // steps under the median so far. deduce_max_rps is the median of the
+  // climbs' highest passing rates.
+  const std::size_t warmup_slot = new_slot();
+  const std::size_t base_slot = new_slot();
+  run_step(config.base_rate, kWarmupSeconds, warmup_slot);
+  std::vector<double> climb_rps;
+  for (int c = 0; c < kClimbs && !send_failed; ++c) {
+    if (c > 0) run_step(config.base_rate, config.base_seconds / (kClimbs - 1),
+                        base_slot);
+    const double from =
+        c == 0 ? config.base_rate * kLadderRatio
+               : std::max(config.base_rate * kLadderRatio,
+                          Summary::Of(climb_rps).median /
+                              std::pow(kLadderRatio, kRestartBelow));
+    climb_rps.push_back(climb(c, from));
   }
-  // Drain: keep serving retries until nothing is outstanding.
-  const Clock::time_point drain_deadline = Clock::now() + std::chrono::seconds(60);
-  while (!send_failed && outstanding_now() > 0 && Clock::now() < drain_deadline) {
-    send_retries(Clock::now());
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  const double max_rps = Summary::Of(climb_rps).median;
+  steps.insert(steps.begin(), evaluate(config.base_rate, base_slot));
+  // The daemon's peak over the whole phase. A failed climb step leaves
+  // a backlog of at most a few hundred requests, drained before the next.
+  const double daemon_rss_mb =
+      PeakRssMb("/proc/" + std::to_string(daemon->pid()) + "/status");
   {
     std::lock_guard<std::mutex> lock(batch_mu);
     traffic_end = Clock::now();
@@ -556,6 +649,12 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
   interactive.value().reset();
   results->Check(daemon->Stop(),
                  "serve: daemon did not drain cleanly on SIGTERM");
+  for (int s = starts_before; s < setup_starts; ++s) {
+    Daemon again;
+    start_ms.push_back(again.Start(config));
+    results->Check(start_ms.back() >= 0 && again.Stop(),
+                   "serve: relacc serve did not come up or drain cleanly");
+  }
 
   // --- the ledger ----------------------------------------------------------
   const int64_t lost = static_cast<int64_t>(stream.inflight.size() +
@@ -574,47 +673,17 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
   for (const std::string& e : batch_errors) results->errors.push_back(e);
   results->Check(stats.ok(), "serve: stats call failed");
 
-  std::vector<StepResult> steps;
-  double max_rps = 0.0;
   Json ladder = Json::Array();
-  for (std::size_t s = 0; s < config.rates.size(); ++s) {
-    StepResult r;
-    r.rate = config.rates[s];
-    r.latency = Summary::Of(stream.latency_ms[s]);
-    r.failed = stream.step_failed[s];
-    // Backlog growth: the outstanding count in the last quarter of the
-    // step exceeds the first quarter's by more than the latency limit
-    // can absorb at this rate (Little's law: rate x limit).
-    const auto& o = outstanding[s];
-    if (o.size() >= 8) {
-      const std::size_t q = o.size() / 4;
-      double first = 0.0, last = 0.0;
-      for (std::size_t i = 0; i < q; ++i) {
-        first += static_cast<double>(o[i].second);
-        last += static_cast<double>(o[o.size() - 1 - i].second);
-      }
-      first /= static_cast<double>(q);
-      last /= static_cast<double>(q);
-      r.backlog_grew =
-          last - first > std::max(10.0, r.rate * config.latency_limit_ms / 1000.0);
-    }
-    r.passed = r.failed == 0 && r.latency.n > 0 && !r.backlog_grew &&
-               r.latency.tail <= config.latency_limit_ms;
-    if (r.passed) max_rps = std::max(max_rps, r.rate);
+  for (const StepResult& r : steps) {
     Json j = r.latency.ToJson();
-    int64_t slow = 0;
-    for (double ms : stream.latency_ms[s]) slow += ms > 10.0 ? 1 : 0;
-    j.Set("over_10ms", Json::Int(slow));
+    j.Set("climb", Json::Int(r.climb));
     j.Set("rate", Json::Real(r.rate));
     j.Set("failed", Json::Int(r.failed));
     j.Set("backlog_grew", Json::Bool(r.backlog_grew));
     j.Set("passed", Json::Bool(r.passed));
     ladder.Append(std::move(j));
-    steps.push_back(r);
   }
-  const StepResult& base = steps[static_cast<std::size_t>(
-      std::find(config.rates.begin(), config.rates.end(), config.base_rate) -
-      config.rates.begin())];
+  const StepResult& base = steps[0];
   const Summary batch_pass = Summary::Of(batch_pass_ms);
 
   results->Set("deduce_p50_ms", base.latency.median, "ms");
@@ -626,7 +695,18 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
                                 : 0.0,
                "1/s");
   results->notes.Set("ladder", std::move(ladder));
-  results->notes.Set("latency_limit_ms", Json::Real(config.latency_limit_ms));
+  Json climbs = Json::Array();
+  for (double rps : climb_rps) climbs.Append(Json::Real(rps));
+  results->notes.Set("climb_max_rps", std::move(climbs));
+  Json deployment = Json::Object();
+  deployment.Set("replicas", Json::Int(kReplicas));
+  deployment.Set("replica_threads", Json::Int(kReplicaThreads));
+  deployment.Set("batch_window", Json::Int(kBatchWindow));
+  deployment.Set("latency_limit_ms", Json::Real(kLatencyLimitMs));
+  deployment.Set("backlog_growth_ms", Json::Real(kBacklogGrowthMs));
+  deployment.Set("step_seconds", Json::Real(kStepSeconds));
+  deployment.Set("ladder_ratio", Json::Real(kLadderRatio));
+  results->notes.Set("serve", std::move(deployment));
   results->notes.Set("deduce_p99_ms_is_percentile", Json::Real(base.latency.tail_pct));
   results->notes.Set("deduce_base_samples",
                      Json::Int(static_cast<int64_t>(base.latency.n)));
@@ -688,7 +768,7 @@ void RunServePhase(const ServeConfig& config, const PipelineState& state,
   }
   PipelineSessionOptions session_options;
   session_options.inline_windows = true;
-  session_options.window = config.batch_window;
+  session_options.window = kBatchWindow;
   session_options.completion = config.completion == "best"
                                    ? CompletionPolicy::kBestCandidate
                                    : config.completion == "none"

@@ -2,7 +2,7 @@
 """Benchmark entry point for relacc.
 
     python3 relbench/run.py --workload pipeline-heuristic --seed 7 \\
-        --seconds 10 --trace 0
+        --seconds 6 --trace 0
 
 Run from the root of a relacc source tree. The script builds the CLI and
 the harness (relbench/CMakeLists.txt) into .bench_build, generates the
@@ -32,43 +32,31 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 # Every workload: the generator profile and size that feed it, the
-# completion policy, and how a run of S measuring seconds splits between
-# the in-process pipeline passes and the serve phase.
+# completion policy, the number of in-process pipeline passes, the serve
+# phase's base rate (deduce requests per second; 0 skips the serve
+# phase) and whether setup_s times the daemon's start (else the
+# pipeline's spec load + Create).
 #
-# Serve ladder: deduce requests per second. deduce_p50_ms/deduce_p99_ms
-# come from the base rate, whose step is long enough (at least 1100
-# requests) that the p99 has ten samples beyond it; a one-second warm-up
-# at the base rate precedes the ladder. The middle rate sits well below
-# capacity and the top one far above it, so deduce_max_rps does not flip
-# with run-to-run noise. The batch tenant opens its sessions with a
-# one-entity window (see README.md, "Why the batch window is 1").
+# The base-rate step lasts --seconds, and at least 1100 requests so that
+# deduce_p99_ms has ten samples beyond it. The deployment and the ladder
+# that climbs from the base rate are constants of the harness
+# (harness/serve_phase.cc).
 WORKLOADS = {
     "pipeline-heuristic": dict(
         profile="cfp", entities=800, tuples=3600, completion="heuristic",
-        pipeline_seconds=2.0, min_passes=3,
-        rates=[150, 450, 4000], base_rate=150, base_seconds=1.2,
-        step_seconds=0.1, latency_limit_ms=250.0, batch_window=1,
-        serve_setup=False, setup_starts=1),
+        passes=3, base_rate=150, serve_setup=False),
     "serve-mixed": dict(
         profile="med", entities=400, tuples=1400, completion="heuristic",
-        pipeline_seconds=0.0, min_passes=9,
-        rates=[300, 900, 4000], base_rate=300, base_seconds=2.0,
-        step_seconds=0.1, latency_limit_ms=250.0, batch_window=1,
-        serve_setup=True, setup_starts=9),
+        passes=9, base_rate=300, serve_setup=True),
     # Not in BENCHMARK.json (see README.md, "Known defects"): one pass
     # takes 50-60 s at 4 threads and its time is set by one or two
     # budget-exhausting top-k searches, so it is run by hand, without
     # the serve phase.
     "pipeline-best": dict(
         profile="med", entities=400, completion="best",
-        pipeline_seconds=0.0, min_passes=1,
-        rates=[], base_rate=0, base_seconds=0.0, step_seconds=0.0,
-        latency_limit_ms=0.0, batch_window=0,
-        serve_setup=False, setup_starts=1),
+        passes=1, base_rate=0, serve_setup=False),
 }
-THREADS = 4   # pipeline budget, as `relacc pipeline --threads 4`
-REPLICAS = 2  # serve replicas of one thread each; replicas x threads <= nproc
-REPLICA_THREADS = 1
+THREADS = 4  # pipeline budget, as `relacc pipeline --threads 4`
 
 
 def fail(message):
@@ -144,9 +132,20 @@ def generate(relacc, spec, seed, work):
     run([relacc, "snapshot", "build", entity0, "--out", snapshot])
     with open(reference, "wb") as out:
         run([relacc, "pipeline", flat, "--key", "key", "--threads",
-             str(THREADS), "--completion", spec["completion"], "--json"],
+             str(THREADS), "--completion", spec["completion"],
+             "--json"],
             stdout=out)
     return flat, snapshot, reference
+
+
+def cpu_ticks():
+    """(steal, total) jiffies of all CPUs so far, from /proc/stat."""
+    try:
+        with open("/proc/stat") as f:
+            fields = [int(v) for v in f.readline().split()[1:]]
+    except (OSError, ValueError):
+        return 0, 0
+    return (fields[7] if len(fields) > 7 else 0), sum(fields)
 
 
 def compiler_of(build_dir):
@@ -176,26 +175,14 @@ def git_commit():
 
 
 def harness_args(spec, seconds):
-    """The harness knobs of one workload for a run of `seconds`."""
-    rates = spec["rates"]
-    base = max(spec["base_seconds"] * seconds,
-               1100.0 / spec["base_rate"] if rates else 0.0)
-    step = spec["step_seconds"] * seconds
+    """The harness flags of one workload for a run of `seconds`."""
+    base = max(seconds, 1100.0 / spec["base_rate"]) if spec["base_rate"] else 0
     return ["--completion", spec["completion"],
             "--threads", str(THREADS),
-            "--pipeline-seconds", str(spec["pipeline_seconds"] * seconds),
-            "--min-passes", str(spec["min_passes"]),
-            "--serve", "1" if rates else "0",
-            "--rates", ",".join(str(r) for r in rates) or "1",
-            "--base-rate", str(spec["base_rate"] or 1),
+            "--passes", str(spec["passes"]),
+            "--base-rate", str(spec["base_rate"]),
             "--base-seconds", "%.3f" % base,
-            "--step-seconds", "%.3f" % step,
-            "--latency-limit-ms", str(spec["latency_limit_ms"]),
-            "--replicas", str(REPLICAS),
-            "--replica-threads", str(REPLICA_THREADS),
-            "--serve-setup", "1" if spec["serve_setup"] else "0",
-            "--setup-starts", str(spec["setup_starts"]),
-            "--batch-window", str(spec["batch_window"])]
+            "--serve-setup", "1" if spec["serve_setup"] else "0"]
 
 
 def main():
@@ -239,6 +226,7 @@ def main():
                "--trace-out", os.path.join(work, "spans.jsonl")]
         cmd += harness_args(spec, args.seconds)
         started = time.time()
+        ticks_before = cpu_ticks()
         # Own process group: if this script is stopped, the harness and
         # the relacc serve daemon it spawned are stopped with it.
         harness_proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE,
@@ -250,6 +238,7 @@ def main():
             if harness_proc.poll() is None:
                 os.killpg(harness_proc.pid, signal.SIGKILL)
                 harness_proc.wait()
+        ticks_after = cpu_ticks()
         lines = out.strip().splitlines()
         if not lines:
             fail("harness printed nothing (exit %d)" % harness_proc.returncode)
@@ -267,12 +256,16 @@ def main():
     stamp = {
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
-        "nproc": os.cpu_count(), "threads": THREADS, "replicas": REPLICAS,
-        "replica_threads": REPLICA_THREADS,
+        "nproc": os.cpu_count(), "threads": THREADS,
+        "serve": notes.get("serve"),
         "build_type": "Release", "compiler": compiler_of(build_dir),
         "commit": git_commit(),
         "inputs": notes.get("inputs", {}),
         "harness_seconds": round(time.time() - started, 3),
+        # Share of all CPU time the hypervisor gave to other guests while
+        # the harness ran: the machine's noise, for reading the figures.
+        "steal_frac": round((ticks_after[0] - ticks_before[0]) /
+                            max(1, ticks_after[1] - ticks_before[1]), 4),
     }
     # ok_frac is 1 - failed_frac: the share of checked operations
     # (pipeline passes, deduce requests, batch passes, output checks)

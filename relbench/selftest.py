@@ -11,7 +11,7 @@ Checks, for every workload of BENCHMARK.json:
     reports exactly the end-to-end (--trace 0) or per-layer (--trace 1)
     metrics BENCHMARK.json names, with the units it names;
 and that BENCHMARK.json keeps the limits run.py relies on. Runs take
-about a minute in all; exit code 0 when everything holds.
+about two minutes in all; exit code 0 when everything holds.
 """
 
 import filecmp
@@ -104,6 +104,18 @@ def check_run(bench, workload, trace):
     check(all(isinstance(m["value"], (int, float))
               for m in result["metrics"].values()),
           label + ": every value is a number")
+    if not trace:
+        # setup_s is the daemon's start on serve workloads, else the
+        # pipeline's spec load + Create, whichever phase ran last.
+        with open(os.path.join(ROOT, ".bench_build", "results",
+                               "%s-s%d-t0.json" % (workload, SEED))) as f:
+            notes = json.load(f)["notes"]
+        source = ("daemon_start_ms" if run.WORKLOADS[workload]["serve_setup"]
+                  else "pipeline_setup_s")
+        scale = 1000.0 if source == "daemon_start_ms" else 1.0
+        check(abs(result["metrics"]["setup_s"]["value"] * scale -
+                  notes[source]["median"]) < 1e-9,
+              label + ": setup_s is the median of " + source)
 
 
 def main():
