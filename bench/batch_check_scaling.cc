@@ -11,19 +11,13 @@
 #include <cstdio>
 #include <vector>
 
+#include "api/accuracy_service.h"
 #include "chase/chase_engine.h"
 #include "common.h"
 #include "datagen/syn_generator.h"
 #include "rules/grounding.h"
 #include "topk/batch_check.h"
 #include "topk/topk_ct.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace bench {
@@ -69,11 +63,24 @@ int Run() {
     run_spec.config.check_strategy = strategy;
     for (int threads : {1, 2, 4, 8}) {
       std::vector<char> verdicts;
-      // Engine construction and the per-worker checkpoint chase are part
-      // of the measured cost: that is what a top-k caller pays too.
+      // A service per call: grounding, engine construction and the
+      // per-worker checkpoint chase are part of the measured cost, as
+      // they are for a one-off top-k caller.
       const double ms = TimeMs([&] {
-        verdicts = CheckCandidates(run_spec, candidates, threads);
+        ServiceOptions options;
+        options.num_threads = threads;
+        Result<std::unique_ptr<AccuracyService>> service =
+            AccuracyService::Create(run_spec, std::move(options));
+        if (!service.ok()) return;
+        Result<std::vector<char>> checked =
+            service.value()->CheckCandidates(candidates);
+        if (checked.ok()) verdicts = std::move(checked).value();
       });
+      if (verdicts.size() != candidates.size()) {
+        std::printf("%s/%d: service check failed\n",
+                    CheckStrategyName(strategy), threads);
+        return 1;
+      }
       if (baseline.empty()) {
         baseline = verdicts;
         base_ms = ms;
@@ -142,5 +149,3 @@ int Run() {
 }  // namespace relacc
 
 int main() { return relacc::bench::Run(); }
-
-RELACC_SUPPRESS_DEPRECATED_END

@@ -51,7 +51,7 @@ void TimeIsCR(JsonReport* report, const char* profile,
 
 /// The rounds of one simulated interactive session over `spec`:
 /// cumulative truth reveals — round r designates the true values of the
-/// first r still-null attributes, exactly the Exp-3 shape RunFramework
+/// first r still-null attributes, exactly the Exp-3 shape DriveInteraction
 /// feeds ResumeWith. Under kTrail each round extends the session prefix,
 /// so only the new reveal is chased in; kCopy replays the whole prefix
 /// on a fresh checkpoint copy every round.

@@ -1,23 +1,19 @@
 // Whole-database accuracy pipeline (the paper's Sec. 8 future-work
-// scenario) under the single thread budget, in two sections:
+// scenario) under the single thread budget, in three sections:
 //
-// 1. Batch A/B (via the deprecated RunPipeline shim): reuse_checkers on
-//    vs off across budgets — one persistent completion checker rebound
-//    per entity vs a fresh checker (and pool) torn down per entity.
-//    Reports must be identical across modes and budgets.
+// 1. Streaming (AccuracyService::StartPipeline): entities submitted in
+//    arrival-sized batches through a bounded window, across budgets.
+//    The report must be byte-identical to a reference session (budget
+//    1, one window holding every entity, one Submit) for every budget
+//    and window, while stats().peak_in_flight_engines stays <= window —
+//    memory is O(window), not O(entities).
 //
-// 2. Streaming (AccuracyService::StartPipeline): entities submitted in
-//    arrival-sized batches through a bounded window. The report must be
-//    byte-identical to the batch path for every window, while
-//    stats().peak_in_flight_engines stays <= window — memory is
-//    O(window), not O(entities).
-//
-// 3. Completion A/B (many_entities_completion scenario): phase-2
+// 2. Completion A/B (many_entities_completion scenario): phase-2
 //    entity-parallel completion (the 2-D thread plan) vs the one-entity-
 //    at-a-time schedule at the same budget, identical reports enforced;
 //    the parallel row carries speedup_vs_serial for the CI gate.
 //
-// 4. ground_scaling: sharded Instantiate at several |Ie| points and
+// 3. ground_scaling: sharded Instantiate at several |Ie| points and
 //    shard counts — step-for-step program identity enforced, timing
 //    recorded.
 //
@@ -48,12 +44,6 @@
 #include "common.h"
 #include "datagen/profile_generator.h"
 #include "pipeline/pipeline.h"
-
-// The batch section deliberately exercises the deprecated RunPipeline
-// shim — it is the A/B baseline the streaming session must match.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace bench {
@@ -337,67 +327,28 @@ int Run() {
     std::printf("== pipeline %s (%zu entities%s) ==\n", scenario.name,
                 scenario.dataset.entities.size(),
                 small ? "; RELACC_BENCH_SMALL" : "");
-    std::printf("%8s %10s %6s %6s %12s %14s\n", "budget", "mode", "chase",
-                "check", "ms/run", "entities/s");
+    std::printf("%8s %10s %12s %14s\n", "budget", "mode", "ms/run",
+                "entities/s");
+    // The reference report, untimed: one serial session whose single
+    // window holds every entity. It also warms the dataset and allocator
+    // so the first timed configuration is not charged for cold caches.
     std::string reference_key;
     {
-      // Untimed warm-up: faults in the dataset and allocator so the first
-      // timed configuration is not charged for cold caches.
-      PipelineOptions warm;
-      warm.num_threads = scenario.budgets.front();
-      warm.chase = scenario.dataset.chase_config;
-      (void)RunPipeline(scenario.dataset.entities, scenario.dataset.masters,
-                        scenario.dataset.rules, warm);
+      int64_t peak = 0;
+      bool ok = true;
+      const std::size_t all = scenario.dataset.entities.size();
+      const PipelineReport reference =
+          RunStreaming(scenario.dataset, /*budget=*/1,
+                       std::max<int64_t>(1, static_cast<int64_t>(all)),
+                       /*batch=*/std::max<std::size_t>(1, all), &peak, &ok);
+      if (!ok) window_bound_held = false;
+      reference_key = ReportKey(reference);
     }
     for (int budget : scenario.budgets) {
-      for (const bool reuse : {true, false}) {
-        PipelineOptions options;
-        options.num_threads = budget;
-        options.completion = CompletionPolicy::kBestCandidate;
-        options.chase = scenario.dataset.chase_config;
-        options.reuse_checkers = reuse;
-        PipelineReport report;
-        const double ms = TimeMs([&] {
-          for (int r = 0; r < scenario.reps; ++r) {
-            report = RunPipeline(scenario.dataset.entities,
-                                 scenario.dataset.masters,
-                                 scenario.dataset.rules, options);
-          }
-        });
-        const double ms_per_run = ms / scenario.reps;
-        const double entities_per_s =
-            ms_per_run > 0.0
-                ? static_cast<double>(scenario.dataset.entities.size()) /
-                      (ms_per_run / 1e3)
-                : 0.0;
-        const std::string key = ReportKey(report);
-        if (reference_key.empty()) {
-          reference_key = key;
-        } else if (key != reference_key) {
-          all_identical = false;
-        }
-        const char* mode = reuse ? "reuse" : "rebuild";
-        std::printf("%8d %10s %6d %6d %12.2f %14.0f\n", budget, mode,
-                    report.plan.chase_threads, report.plan.check_threads,
-                    ms_per_run, entities_per_s);
-        JsonReport::Row row;
-        row.Set("scenario", scenario.name)
-            .Set("mode", mode)
-            .Set("budget", budget)
-            .Set("chase_threads", report.plan.chase_threads)
-            .Set("completion_workers", report.plan.completion_workers)
-            .Set("check_threads", report.plan.check_threads)
-            .Set("entities",
-                 static_cast<int64_t>(scenario.dataset.entities.size()))
-            .Set("ms_per_run", ms_per_run)
-            .Set("entities_per_s", entities_per_s);
-        json.Add(std::move(row));
-      }
-
-      // Streaming session at the same budget: submitted in small
-      // arrival batches across several windows; the report must match
-      // the batch reference byte for byte while the in-flight engine
-      // count respects the window.
+      // Streaming session at this budget: submitted in small arrival
+      // batches across several windows; the report must match the
+      // reference byte for byte while the in-flight engine count
+      // respects the window.
       for (const int64_t window :
            {static_cast<int64_t>(1), static_cast<int64_t>(5),
             static_cast<int64_t>(64)}) {
@@ -415,8 +366,8 @@ int Run() {
         const std::string key = ReportKey(report);
         if (key != reference_key) all_identical = false;
         std::string mode = "stream/w" + std::to_string(window);
-        std::printf("%8d %10s %6s %6s %12.2f %14.0f  peak=%lld\n", budget,
-                    mode.c_str(), "-", "-", ms_per_run,
+        std::printf("%8d %10s %12.2f %14.0f  peak=%lld\n", budget,
+                    mode.c_str(), ms_per_run,
                     ms_per_run > 0.0
                         ? scenario.dataset.entities.size() /
                               (ms_per_run / 1e3)
@@ -513,5 +464,3 @@ int main(int argc, char** argv) {
   }
   return relacc::bench::Run();
 }
-
-RELACC_SUPPRESS_DEPRECATED_END

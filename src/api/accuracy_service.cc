@@ -111,9 +111,8 @@ void CompleteEntityPhase(const EntityInstance& entity,
   report->complete = report->target.IsComplete();
 }
 
-/// The option-audit gate (see ISSUE 4): top-k threading is owned by the
-/// service plan, so caller-set values that the legacy batch functions
-/// used to override silently are rejected loudly instead.
+/// Top-k threading is owned by the service plan, so caller-set values
+/// are rejected loudly instead of being silently overridden.
 Status ValidateManagedTopK(const TopKOptions& topk, const char* where) {
   if (topk.checker != nullptr) {
     return Status::InvalidArgument(
@@ -830,9 +829,7 @@ PipelineSession::WindowResult PipelineSession::ProcessWindow(
   // count and check width.
   TopKOptions topk = options_.topk;
   topk.num_threads = check_width;
-  if (options_.reuse_checkers) {
-    service_->EnsureCompletionSlots(workers);
-  }
+  service_->EnsureCompletionSlots(workers);
   service_->ChasePool().ParallelForSlots(
       static_cast<int64_t>(todo.size()), workers,
       [&](int slot, int64_t t) {
@@ -840,17 +837,10 @@ PipelineSession::WindowResult PipelineSession::ProcessWindow(
             static_cast<std::size_t>(todo[static_cast<std::size_t>(t)]);
         std::unique_ptr<PendingCompletion>& p = pending[k];
         const ChaseEngine& engine = *p->engine;
-        std::unique_ptr<CandidateChecker> fresh;
-        const CandidateChecker* checker;
-        if (options_.reuse_checkers) {
-          checker = &service_->AcquireCompletionChecker(slot, check_width,
-                                                        engine);
-        } else {
-          fresh = std::make_unique<CandidateChecker>(engine, check_width);
-          checker = fresh.get();
-        }
+        const CandidateChecker& checker =
+            service_->AcquireCompletionChecker(slot, check_width, engine);
         CompleteEntityPhase(entities[k], spec.masters, completion_, topk,
-                            options_.preference, engine, *checker,
+                            options_.preference, engine, checker,
                             &result.reports[k]);
         p.reset();  // free the checkpoint/probe memory as we go
       });
@@ -902,9 +892,9 @@ Result<PipelineReport> PipelineSession::Finish() {
   }
   finished_ = true;
 
-  // Deterministic aggregation in input order — field for field what the
-  // legacy batch RunPipeline produced, including the thread plan it
-  // would have computed for this entity count.
+  // Deterministic aggregation in input order. The thread plan is the one
+  // ComputePipelineThreadPlan gives the budget for the whole stream, so
+  // it does not depend on how the stream was windowed or batched.
   PipelineReport report;
   report.entities = reports_;
   report.plan =
@@ -950,9 +940,7 @@ Result<Suggestion> InteractionSession::Suggest() {
         "InteractionSession::Suggest after the session finished");
   }
   Suggestion s;
-  const ChaseOutcome outcome = options_.incremental
-                                   ? engine_->ResumeWith(template_)
-                                   : engine_->Run(template_);
+  const ChaseOutcome outcome = engine_->ResumeWith(template_);
   s.church_rosser = outcome.church_rosser;
   if (!outcome.church_rosser) {
     s.violation = outcome.violation;

@@ -142,13 +142,6 @@ struct PipelineSessionOptions {
   /// masters) unless a model is supplied here.
   const PreferenceModel* preference = nullptr;
 
-  /// Serve every completion through the service's persistent checker
-  /// slot pool (one CandidateChecker per completion worker, rebound per
-  /// entity) instead of building and tearing one down per entity.
-  /// Reports are identical either way; false restores the per-entity
-  /// teardown for A/B measurement.
-  bool reuse_checkers = true;
-
   /// Phase-2 entity-level parallelism: how many in-flight entities
   /// complete concurrently, each through its own slot-pooled checker of
   /// width budget/workers (see PipelineThreadPlan). 0 derives
@@ -176,11 +169,6 @@ struct PipelineSessionOptions {
 /// Options of an interactive session (the Fig. 3 loop).
 struct InteractionOptions {
   int k = 15;  ///< candidates per Suggest() (paper default)
-
-  /// Re-chase after a revision via the engine's persistent trail session
-  /// (ChaseEngine::ResumeWith) instead of replaying the full chase.
-  /// Identical outcomes; see framework/framework.h.
-  bool incremental = true;
 
   /// Top-k knobs for Suggest(). As with PipelineSessionOptions::topk,
   /// `num_threads`/`checker` are managed by the service and rejected when
@@ -238,8 +226,8 @@ enum class TopKAlgorithm {
 ///     complete, Finish() for the aggregate PipelineReport. At most
 ///     `window` completion engines are in flight, so memory is bounded by
 ///     the window, not by the number of entities; the report is
-///     byte-identical to the legacy batch RunPipeline for every window,
-///     budget and check strategy.
+///     byte-identical for every window, budget, completion-worker count
+///     and check strategy (only its `plan` echoes the budget).
 ///   * StartInteraction() — the Fig. 3 user loop as a stateful object:
 ///     Suggest()/Revise()/Accept() over a persistent chase session
 ///     (ChaseEngine::ResumeWith), so each accumulating revision costs
@@ -486,13 +474,13 @@ class AccuracyService {
   std::vector<std::unique_ptr<CandidateChecker>> completion_checkers_;
 };
 
-/// A streaming whole-database run (the incremental form of the legacy
-/// RunPipeline): submit entity batches as they arrive, poll per-entity
-/// reports as they complete, finish for the aggregate. Entities are
-/// processed in windows — phase-1 entity-parallel chase, then phase-2
-/// completion across the plan's completion-worker slots with an
-/// input-order reduction — so at most `window` completion engines are
-/// ever alive (stats().peak_in_flight_engines proves it).
+/// A streaming whole-database run (the paper's Sec. 8 "improving the
+/// accuracy of data in a database" scenario): submit entity batches as
+/// they arrive, poll per-entity reports as they complete, finish for the
+/// aggregate. Entities are processed in windows — phase-1 entity-parallel
+/// chase, then phase-2 completion across the plan's completion-worker
+/// slots with an input-order reduction — so at most `window` completion
+/// engines are ever alive (stats().peak_in_flight_engines proves it).
 ///
 /// Full windows are handed to a background *completion driver* thread,
 /// so Submit returns promptly while the window chases and completes
@@ -505,10 +493,11 @@ class AccuracyService {
 /// only after Finish() (or between sessions), exactly as the
 /// one-session-at-a-time contract has always required.
 ///
-/// Reports come back in input order and are byte-identical to the legacy
-/// batch path for every window size, thread budget, completion-worker
-/// count, reuse setting and check strategy (enforced by
-/// tests/test_accuracy_service.cc and bench/pipeline_scaling.cc).
+/// Reports come back in input order and are byte-identical for every
+/// window size, thread budget, completion-worker count, submit batching
+/// and check strategy — only PipelineReport::plan echoes the budget
+/// (enforced by tests/test_accuracy_service.cc and
+/// bench/pipeline_scaling.cc).
 class PipelineSession {
  public:
   struct Stats {
@@ -544,8 +533,8 @@ class PipelineSession {
   std::vector<EntityReport> Drain();
 
   /// Flushes the final partial window, waits for the driver to drain,
-  /// and returns the aggregate report (identical to RunPipeline over the
-  /// same entities). The session refuses further Submit/Finish calls
+  /// and returns the aggregate report (see the class comment for what it
+  /// is independent of). The session refuses further Submit/Finish calls
   /// afterwards; Poll/Drain keep working on what completed.
   Result<PipelineReport> Finish();
 
@@ -611,8 +600,7 @@ class PipelineSession {
   Stats stats_;
 };
 
-/// The Fig. 3 interactive loop as a stateful object, replacing the inline
-/// UserOracle wiring of the legacy RunFramework: Suggest() chases the
+/// The Fig. 3 interactive loop as a stateful object: Suggest() chases the
 /// current target template (via the engine's persistent trail session, so
 /// accumulating revisions cost O(their own changes)) and ranks candidate
 /// targets when the deduced target is incomplete; Revise() folds a

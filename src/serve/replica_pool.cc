@@ -1,6 +1,5 @@
 #include "serve/replica_pool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -132,13 +131,10 @@ Scheduler::Stats ReplicaPool::aggregate_stats() const {
     total.rejected += s.rejected;
     total.cancelled_queued += s.cancelled_queued;
     total.expired_running += s.expired_running;
-    total.p50_interactive_ms =
-        std::max(total.p50_interactive_ms, s.p50_interactive_ms);
-    total.p99_interactive_ms =
-        std::max(total.p99_interactive_ms, s.p99_interactive_ms);
-    total.p50_batch_ms = std::max(total.p50_batch_ms, s.p50_batch_ms);
-    total.p99_batch_ms = std::max(total.p99_batch_ms, s.p99_batch_ms);
+    total.latency_interactive.Merge(s.latency_interactive);
+    total.latency_batch.Merge(s.latency_batch);
   }
+  total.ReadPercentiles();
   return total;
 }
 

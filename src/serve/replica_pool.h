@@ -122,8 +122,9 @@ class ReplicaPool {
 
   std::vector<ReplicaStats> replica_stats() const;
 
-  /// Pool-wide scheduler stats: counters summed, percentiles taken as
-  /// the worst (max) replica — a conservative figure for dashboards.
+  /// Pool-wide scheduler stats: counters summed, percentiles read from
+  /// the replicas' merged latency histograms — percentiles of every
+  /// request the pool executed.
   Scheduler::Stats aggregate_stats() const;
 
   int64_t total_timeouts() const;

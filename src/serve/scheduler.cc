@@ -15,6 +15,13 @@ void Scheduler::LatencyHistogram::Record(int64_t ms) {
   ++count;
 }
 
+void Scheduler::LatencyHistogram::Merge(const LatencyHistogram& other) {
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    buckets[i] += other.buckets[i];
+  }
+  count += other.count;
+}
+
 double Scheduler::LatencyHistogram::PercentileMs(double p) const {
   if (count == 0) return 0.0;
   const int64_t rank =
@@ -28,6 +35,13 @@ double Scheduler::LatencyHistogram::PercentileMs(double p) const {
     }
   }
   return static_cast<double>((int64_t{1} << 31) - 1);
+}
+
+void Scheduler::Stats::ReadPercentiles() {
+  p50_interactive_ms = latency_interactive.PercentileMs(0.50);
+  p99_interactive_ms = latency_interactive.PercentileMs(0.99);
+  p50_batch_ms = latency_batch.PercentileMs(0.50);
+  p99_batch_ms = latency_batch.PercentileMs(0.99);
 }
 
 Scheduler::Scheduler() : Scheduler(Options()) {}
@@ -182,10 +196,7 @@ int64_t Scheduler::tenant_count() const {
 Scheduler::Stats Scheduler::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats out = stats_;
-  out.p50_interactive_ms = latency_interactive_.PercentileMs(0.50);
-  out.p99_interactive_ms = latency_interactive_.PercentileMs(0.99);
-  out.p50_batch_ms = latency_batch_.PercentileMs(0.50);
-  out.p99_batch_ms = latency_batch_.PercentileMs(0.99);
+  out.ReadPercentiles();
   return out;
 }
 
@@ -350,10 +361,10 @@ void Scheduler::ExecutorLoop() {
       tombstones_.erase(tenant_of_job);
       if (cls == JobClass::kInteractive) {
         ++stats_.executed_interactive;
-        latency_interactive_.Record(ms_since(job.enqueued));
+        stats_.latency_interactive.Record(ms_since(job.enqueued));
       } else {
         ++stats_.executed_batch;
-        latency_batch_.Record(ms_since(job.enqueued));
+        stats_.latency_batch.Record(ms_since(job.enqueued));
       }
       total_exec_ms_ += ms_since(started);
     }

@@ -92,6 +92,22 @@ class Scheduler {
     std::function<void()> on_deadline;
   };
 
+  /// Log2-bucket latency histogram: bucket i counts samples whose
+  /// millisecond latency has bit width i (so bucket 0 is sub-ms, bucket
+  /// 1 is 1 ms, bucket 2 is 2–3 ms, ...). Constant space, O(1) record,
+  /// percentile read-off in one pass.
+  struct LatencyHistogram {
+    std::array<int64_t, 32> buckets{};
+    int64_t count = 0;
+    void Record(int64_t ms);
+    /// Adds every sample of `other`: histograms of several schedulers
+    /// merge into the histogram of all their samples.
+    void Merge(const LatencyHistogram& other);
+    /// The upper bound (in ms) of the bucket holding percentile `p`
+    /// (0 < p <= 1); 0.0 with no samples.
+    double PercentileMs(double p) const;
+  };
+
   struct Stats {
     int64_t executed_interactive = 0;
     int64_t executed_batch = 0;
@@ -110,6 +126,12 @@ class Scheduler {
     double p99_interactive_ms = 0.0;
     double p50_batch_ms = 0.0;
     double p99_batch_ms = 0.0;
+    /// The per-class histograms the percentiles are read from.
+    LatencyHistogram latency_interactive;
+    LatencyHistogram latency_batch;
+
+    /// Sets the four percentiles from the two histograms.
+    void ReadPercentiles();
   };
 
   Scheduler();  ///< default Options
@@ -197,19 +219,6 @@ class Scheduler {
     }
   };
 
-  /// Log2-bucket latency histogram: bucket i counts samples whose
-  /// millisecond latency has bit width i (so bucket 0 is sub-ms, bucket
-  /// 1 is 1 ms, bucket 2 is 2–3 ms, ...). Constant space, O(1) record,
-  /// percentile read-off in one pass.
-  struct LatencyHistogram {
-    std::array<int64_t, 32> buckets{};
-    int64_t count = 0;
-    void Record(int64_t ms);
-    /// The upper bound (in ms) of the bucket holding percentile `p`
-    /// (0 < p <= 1); 0.0 with no samples.
-    double PercentileMs(double p) const;
-  };
-
   void ExecutorLoop();
   void WatchdogLoop();
 
@@ -250,8 +259,6 @@ class Scheduler {
   bool draining_ = false;
   bool stop_ = false;
   Stats stats_;
-  LatencyHistogram latency_interactive_;
-  LatencyHistogram latency_batch_;
   /// Total executor-occupancy time, the basis of the retry-after hint's
   /// mean job time (jobs of both classes share the one executor).
   int64_t total_exec_ms_ = 0;

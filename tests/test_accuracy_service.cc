@@ -1,13 +1,13 @@
 // Tests for the public service API (api/accuracy_service.h): streaming
-// pipeline sessions (window edge cases, report identity with the legacy
-// batch path, the O(window) engine bound), interactive sessions
+// pipeline sessions (window edge cases, report identity with a fixed
+// serial one-window reference, the O(window) engine bound), interactive
+// sessions
 // (Suggest/Revise/Accept), one-shot conveniences, and the option audit
 // that rejects managed TopKOptions knobs instead of silently overriding
 // them.
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,44 +18,20 @@
 #include "framework/framework.h"
 #include "mj_fixture.h"
 #include "pipeline/pipeline.h"
+#include "service_fixture.h"
 #include "topk/batch_check.h"
 #include "topk/rank_join_ct.h"
-
-// The identity tests call the deprecated batch entry points on purpose:
-// the sessions must reproduce them byte for byte.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
 
+using testing_fixture::DriveOwnEntity;
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
 using testing_fixture::Phi12;
-
-/// Every observable field of a PipelineReport, serialized — "byte
-/// identical" in the acceptance criteria means these strings match.
-std::string Serialize(const PipelineReport& r) {
-  std::ostringstream os;
-  os << "plan " << r.plan.chase_threads << '/' << r.plan.completion_workers
-     << 'x' << r.plan.check_threads << '\n';
-  for (const EntityReport& e : r.entities) {
-    os << e.entity_id << '|' << e.num_tuples << '|' << e.church_rosser
-       << '|' << e.complete << '|' << e.used_candidate << '|'
-       << e.deduced_attrs << '|' << e.target.ToString() << '|'
-       << e.violation << '\n';
-  }
-  os << r.targets.ToCsv();
-  os << "rows ";
-  for (int i : r.row_entity) os << i << ',';
-  os << '\n'
-     << r.total_tuples << ' ' << r.num_church_rosser << ' '
-     << r.num_complete_by_chase << ' ' << r.num_completed_by_candidates
-     << ' ' << r.num_incomplete << ' ' << r.num_non_church_rosser << ' '
-     << r.deduced_attr_fraction;
-  return os.str();
-}
+using testing_fixture::PipelineSpec;
+using testing_fixture::ReferencePipelineReport;
+using testing_fixture::SerializeReport;
 
 EntityDataset MedDataset(uint64_t seed = 5, int entities = 40,
                          double corruption = -1.0) {
@@ -64,17 +40,6 @@ EntityDataset MedDataset(uint64_t seed = 5, int entities = 40,
   config.master_size = 45;
   if (corruption >= 0.0) config.free_corruption_prob = corruption;
   return GenerateProfile(config);
-}
-
-Specification ServiceSpec(const EntityDataset& ds,
-                          CheckStrategy strategy = CheckStrategy::kTrail) {
-  Specification spec;
-  spec.ie = Relation(ds.schema);
-  spec.masters = ds.masters;
-  spec.rules = ds.rules;
-  spec.config = ds.chase_config;
-  spec.config.check_strategy = strategy;
-  return spec;
 }
 
 Specification ArenaOpenMjSpec() {
@@ -111,53 +76,52 @@ PipelineReport StreamAll(AccuracyService& service,
   return std::move(report).value();
 }
 
-// --- streaming pipeline: identity with the legacy batch path ---------------
+// --- streaming pipeline: identity with the serial one-window reference -----
 
-TEST(PipelineSessionTest, IdenticalToLegacyAcrossBudgetsAndStrategies) {
+TEST(PipelineSessionTest, IdenticalToReferenceAcrossBudgetsAndStrategies) {
   const EntityDataset ds = MedDataset();
+  const PipelineReport reference =
+      ReferencePipelineReport(PipelineSpec(ds), ds.entities);
+  EXPECT_GT(reference.num_completed_by_candidates, 0);
   for (const CheckStrategy strategy :
        {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
     for (const int budget : {1, 4, 8}) {
-      PipelineOptions legacy_options;
-      legacy_options.num_threads = budget;
-      legacy_options.chase = ds.chase_config;
-      legacy_options.chase.check_strategy = strategy;
-      const PipelineReport legacy = RunPipeline(ds.entities, ds.masters,
-                                                ds.rules, legacy_options);
+      const PipelineThreadPlan plan = ComputePipelineThreadPlan(
+          budget, static_cast<int64_t>(ds.entities.size()));
       for (const int64_t window : {int64_t{1}, int64_t{3}, int64_t{64}}) {
         ServiceOptions service_options;
         service_options.num_threads = budget;
         service_options.window = window;
         auto service =
-            MakeService(ServiceSpec(ds, strategy), service_options);
+            MakeService(PipelineSpec(ds, strategy), service_options);
         const PipelineReport streamed =
             StreamAll(*service, ds.entities, /*batch=*/7);
-        EXPECT_EQ(Serialize(streamed), Serialize(legacy))
+        EXPECT_EQ(SerializeReport(streamed), SerializeReport(reference))
             << CheckStrategyName(strategy) << " budget " << budget
             << " window " << window;
+        // The plan echoes the budget, never the windowing.
+        EXPECT_EQ(streamed.plan.chase_threads, plan.chase_threads);
+        EXPECT_EQ(streamed.plan.completion_workers, plan.completion_workers);
+        EXPECT_EQ(streamed.plan.check_threads, plan.check_threads);
       }
     }
   }
 }
 
-TEST(PipelineSessionTest, BothCompletionPoliciesMatchLegacy) {
+TEST(PipelineSessionTest, BothCompletionPoliciesMatchReference) {
   const EntityDataset ds = MedDataset(/*seed=*/7, /*entities=*/24);
   for (const CompletionPolicy policy :
        {CompletionPolicy::kLeaveNull, CompletionPolicy::kHeuristic}) {
-    PipelineOptions legacy_options;
-    legacy_options.num_threads = 2;
-    legacy_options.completion = policy;
-    legacy_options.chase = ds.chase_config;
-    const PipelineReport legacy =
-        RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
+    const PipelineReport reference =
+        ReferencePipelineReport(PipelineSpec(ds), ds.entities, policy);
     ServiceOptions service_options;
     service_options.num_threads = 2;
     service_options.window = 5;
     service_options.completion = policy;
-    auto service = MakeService(ServiceSpec(ds), service_options);
+    auto service = MakeService(PipelineSpec(ds), service_options);
     const PipelineReport streamed =
         StreamAll(*service, ds.entities, /*batch=*/5);
-    EXPECT_EQ(Serialize(streamed), Serialize(legacy));
+    EXPECT_EQ(SerializeReport(streamed), SerializeReport(reference));
   }
 }
 
@@ -171,7 +135,7 @@ TEST(PipelineSessionTest, WindowOneBoundsInFlightEnginesToOne) {
   ServiceOptions service_options;
   service_options.num_threads = 4;
   service_options.window = 1;
-  auto service = MakeService(ServiceSpec(ds), service_options);
+  auto service = MakeService(PipelineSpec(ds), service_options);
   PipelineSession::Stats stats;
   const PipelineReport streamed =
       StreamAll(*service, ds.entities, /*batch=*/12, {}, &stats);
@@ -179,13 +143,9 @@ TEST(PipelineSessionTest, WindowOneBoundsInFlightEnginesToOne) {
   EXPECT_EQ(stats.processed, 12);
   EXPECT_EQ(stats.peak_in_flight_engines, 1);
   EXPECT_GT(streamed.num_completed_by_candidates, 0);
-
-  PipelineOptions legacy_options;
-  legacy_options.num_threads = 4;
-  legacy_options.chase = ds.chase_config;
-  const PipelineReport legacy =
-      RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
-  EXPECT_EQ(Serialize(streamed), Serialize(legacy));
+  EXPECT_EQ(SerializeReport(streamed),
+            SerializeReport(
+                ReferencePipelineReport(PipelineSpec(ds), ds.entities)));
 }
 
 TEST(PipelineSessionTest, PeakInFlightNeverExceedsWindow) {
@@ -194,7 +154,7 @@ TEST(PipelineSessionTest, PeakInFlightNeverExceedsWindow) {
   for (const int64_t window : {int64_t{2}, int64_t{5}}) {
     ServiceOptions service_options;
     service_options.window = window;
-    auto service = MakeService(ServiceSpec(ds), service_options);
+    auto service = MakeService(PipelineSpec(ds), service_options);
     PipelineSession::Stats stats;
     (void)StreamAll(*service, ds.entities, /*batch=*/17,
                     PipelineSessionOptions{}, &stats);
@@ -207,7 +167,7 @@ TEST(PipelineSessionTest, WindowLargerThanStreamProcessesAtFinish) {
   const EntityDataset ds = MedDataset(/*seed=*/5, /*entities=*/6);
   ServiceOptions service_options;
   service_options.window = 1000;  // >> entities
-  auto service = MakeService(ServiceSpec(ds), service_options);
+  auto service = MakeService(PipelineSpec(ds), service_options);
   Result<std::unique_ptr<PipelineSession>> session =
       service->StartPipeline();
   ASSERT_TRUE(session.ok());
@@ -217,17 +177,14 @@ TEST(PipelineSessionTest, WindowLargerThanStreamProcessesAtFinish) {
   Result<PipelineReport> report = session.value()->Finish();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().entities.size(), ds.entities.size());
-
-  PipelineOptions legacy_options;
-  legacy_options.chase = ds.chase_config;
-  const PipelineReport legacy =
-      RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
-  EXPECT_EQ(Serialize(report.value()), Serialize(legacy));
+  EXPECT_EQ(SerializeReport(report.value()),
+            SerializeReport(
+                ReferencePipelineReport(PipelineSpec(ds), ds.entities)));
 }
 
 TEST(PipelineSessionTest, SubmitAfterFinishIsFailedPrecondition) {
   const EntityDataset ds = MedDataset(/*seed=*/5, /*entities=*/3);
-  auto service = MakeService(ServiceSpec(ds));
+  auto service = MakeService(PipelineSpec(ds));
   Result<std::unique_ptr<PipelineSession>> session =
       service->StartPipeline();
   ASSERT_TRUE(session.ok());
@@ -244,14 +201,14 @@ TEST(PipelineSessionTest, SubmitAfterFinishIsFailedPrecondition) {
 
 TEST(PipelineSessionTest, EmptyStreamYieldsEmptyReport) {
   const EntityDataset ds = MedDataset(/*seed=*/5, /*entities=*/3);
-  auto service = MakeService(ServiceSpec(ds));
+  auto service = MakeService(PipelineSpec(ds));
   Result<std::unique_ptr<PipelineSession>> session =
       service->StartPipeline();
   ASSERT_TRUE(session.ok());
   Result<PipelineReport> report = session.value()->Finish();
   ASSERT_TRUE(report.ok());
-  const PipelineReport legacy = RunPipeline({}, ds.masters, ds.rules, {});
-  EXPECT_EQ(Serialize(report.value()), Serialize(legacy));
+  EXPECT_EQ(SerializeReport(report.value()),
+            SerializeReport(ReferencePipelineReport(PipelineSpec(ds), {})));
   EXPECT_TRUE(report.value().entities.empty());
 }
 
@@ -259,7 +216,7 @@ TEST(PipelineSessionTest, PollAndDrainYieldReportsInInputOrder) {
   const EntityDataset ds = MedDataset(/*seed=*/5, /*entities=*/10);
   ServiceOptions service_options;
   service_options.window = 4;
-  auto service = MakeService(ServiceSpec(ds), service_options);
+  auto service = MakeService(PipelineSpec(ds), service_options);
   Result<std::unique_ptr<PipelineSession>> session =
       service->StartPipeline();
   ASSERT_TRUE(session.ok());
@@ -294,7 +251,7 @@ TEST(PipelineSessionTest, SubmitReturnsWhileTheDriverCompletesWindows) {
   ServiceOptions service_options;
   service_options.num_threads = 2;
   service_options.window = 3;
-  auto service = MakeService(ServiceSpec(ds), service_options);
+  auto service = MakeService(PipelineSpec(ds), service_options);
   Result<std::unique_ptr<PipelineSession>> session =
       service->StartPipeline();
   ASSERT_TRUE(session.ok());
@@ -309,44 +266,36 @@ TEST(PipelineSessionTest, SubmitReturnsWhileTheDriverCompletesWindows) {
   EXPECT_EQ(stats.processed, 12);
   EXPECT_EQ(stats.windows, 4);
   EXPECT_LE(stats.peak_in_flight_engines, 3);
-
-  PipelineOptions legacy_options;
-  legacy_options.num_threads = 2;
-  legacy_options.chase = ds.chase_config;
-  const PipelineReport legacy =
-      RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
-  EXPECT_EQ(Serialize(report.value()), Serialize(legacy));
+  EXPECT_EQ(SerializeReport(report.value()),
+            SerializeReport(
+                ReferencePipelineReport(PipelineSpec(ds), ds.entities)));
 }
 
 TEST(PipelineSessionTest,
      ReportsIdenticalAcrossCompletionWorkersWindowsAndStrategies) {
   // The parallel-completion determinism matrix: completion workers
   // {1, 2, 8} × window {1, 5, 64} × check strategy {trail, copy} at a
-  // fixed budget of 8 must reproduce the legacy batch report byte for
-  // byte — the input-order reduction makes worker count and per-worker
-  // check width unobservable.
+  // fixed budget of 8 must reproduce the serial one-window reference
+  // byte for byte — the input-order reduction makes worker count and
+  // per-worker check width unobservable.
   const EntityDataset ds = MedDataset(/*seed=*/13, /*entities=*/18,
                                       /*corruption=*/0.8);
+  const PipelineReport reference =
+      ReferencePipelineReport(PipelineSpec(ds), ds.entities);
   for (const CheckStrategy strategy :
        {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    PipelineOptions legacy_options;
-    legacy_options.num_threads = 8;
-    legacy_options.chase = ds.chase_config;
-    legacy_options.chase.check_strategy = strategy;
-    const PipelineReport legacy =
-        RunPipeline(ds.entities, ds.masters, ds.rules, legacy_options);
     for (const int workers : {1, 2, 8}) {
       for (const int64_t window : {int64_t{1}, int64_t{5}, int64_t{64}}) {
         ServiceOptions service_options;
         service_options.num_threads = 8;
         service_options.window = window;
         auto service =
-            MakeService(ServiceSpec(ds, strategy), service_options);
+            MakeService(PipelineSpec(ds, strategy), service_options);
         PipelineSessionOptions session_options;
         session_options.completion_workers = workers;
         const PipelineReport streamed = StreamAll(
             *service, ds.entities, /*batch=*/7, std::move(session_options));
-        EXPECT_EQ(Serialize(streamed), Serialize(legacy))
+        EXPECT_EQ(SerializeReport(streamed), SerializeReport(reference))
             << CheckStrategyName(strategy) << " workers " << workers
             << " window " << window;
       }
@@ -367,7 +316,7 @@ TEST(PipelineSessionTest, NegativeCompletionWorkersIsRejected) {
 
 TEST(PipelineSessionTest, SchemaMismatchIsRejectedAtomically) {
   const EntityDataset ds = MedDataset(/*seed=*/5, /*entities=*/4);
-  auto service = MakeService(ServiceSpec(ds));
+  auto service = MakeService(PipelineSpec(ds));
   Result<std::unique_ptr<PipelineSession>> session =
       service->StartPipeline();
   ASSERT_TRUE(session.ok());
@@ -447,9 +396,8 @@ TEST(AccuracyServiceTest, ChaseOverrideReplacesSpecConfig) {
 }
 
 TEST(AccuracyServiceTest, ManagedTopKKnobsAreRejectedNotOverridden) {
-  // The audit satellite: the legacy batch paths silently replaced
-  // caller-set topk.num_threads / topk.checker; the service refuses them
-  // with an explanatory kInvalidArgument instead.
+  // Caller-set topk.num_threads / topk.checker are refused with an
+  // explanatory kInvalidArgument, never silently overridden.
   auto service = MakeService(MjSpecification());
 
   PipelineSessionOptions pipeline_options;
@@ -580,12 +528,17 @@ TEST(AccuracyServiceTest, CheckCandidatesMatchesFreeFunction) {
       spec.ie, spec.masters, outcome.target,
       /*include_default_values=*/false, /*limit=*/64);
   ASSERT_FALSE(pool.empty());
-  const std::vector<char> legacy = CheckCandidates(spec, pool, 2);
+  std::vector<char> direct;
+  for (const Tuple& t : pool) {
+    direct.push_back(CheckCandidateTarget(engine, t) ? 1 : 0);
+  }
 
-  auto service = MakeService(ArenaOpenMjSpec());
+  ServiceOptions options;
+  options.num_threads = 2;
+  auto service = MakeService(ArenaOpenMjSpec(), std::move(options));
   Result<std::vector<char>> verdicts = service->CheckCandidates(pool);
   ASSERT_TRUE(verdicts.ok());
-  EXPECT_EQ(verdicts.value(), legacy);
+  EXPECT_EQ(verdicts.value(), direct);
 }
 
 // --- interactive sessions ----------------------------------------------------
@@ -687,10 +640,10 @@ TEST(InteractionSessionTest, NonChurchRosserIsAnOutcomeNotAnError) {
   EXPECT_FALSE(session.value()->finished());
 }
 
-TEST(InteractionSessionTest, CustomEntitySessionsMatchLegacyFramework) {
+TEST(InteractionSessionTest, CustomEntitySessionsMatchPerEntityServices) {
   // One service over shared (masters, rules); per-entity sessions driven
-  // by the simulated steward must reproduce the legacy per-entity
-  // RunFramework outcomes exactly.
+  // by the simulated steward must reproduce the outcomes of a service
+  // built for each entity alone, driven the same way.
   ProfileConfig config = MedConfig(55);
   config.num_entities = 6;
   config.master_size = 12;
@@ -698,16 +651,11 @@ TEST(InteractionSessionTest, CustomEntitySessionsMatchLegacyFramework) {
   config.free_corruption_prob = 0.6;
   const EntityDataset ds = GenerateProfile(config);
 
-  auto service = MakeService(ServiceSpec(ds));
+  auto service = MakeService(PipelineSpec(ds));
   for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-    Specification spec = ds.SpecFor(static_cast<int>(i));
-    const PreferenceModel pref =
-        PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-    SimulatedUser legacy_user(ds.truths[i]);
-    FrameworkOptions legacy_options;
-    legacy_options.k = 5;
-    const FrameworkResult legacy =
-        RunFramework(spec, pref, &legacy_user, legacy_options);
+    SimulatedUser own_user(ds.truths[i]);
+    const FrameworkResult alone = DriveOwnEntity(
+        ds.SpecFor(static_cast<int>(i)), &own_user, /*k=*/5);
 
     SimulatedUser session_user(ds.truths[i]);
     Result<std::unique_ptr<InteractionSession>> session =
@@ -717,12 +665,12 @@ TEST(InteractionSessionTest, CustomEntitySessionsMatchLegacyFramework) {
     const FrameworkResult driven =
         DriveInteraction(*session.value(), &session_user, /*max_rounds=*/32);
 
-    EXPECT_EQ(driven.church_rosser, legacy.church_rosser) << i;
-    EXPECT_EQ(driven.found_complete_target, legacy.found_complete_target)
+    EXPECT_EQ(driven.church_rosser, alone.church_rosser) << i;
+    EXPECT_EQ(driven.found_complete_target, alone.found_complete_target)
         << i;
-    EXPECT_EQ(driven.target, legacy.target) << i;
-    EXPECT_EQ(driven.interaction_rounds, legacy.interaction_rounds) << i;
-    EXPECT_EQ(driven.automatic_attrs, legacy.automatic_attrs) << i;
+    EXPECT_EQ(driven.target, alone.target) << i;
+    EXPECT_EQ(driven.interaction_rounds, alone.interaction_rounds) << i;
+    EXPECT_EQ(driven.automatic_attrs, alone.automatic_attrs) << i;
   }
 }
 
@@ -751,5 +699,3 @@ TEST(InteractionSessionTest, SessionsShareTheServiceCheckpoint) {
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

@@ -20,21 +20,16 @@
 #include "io/spec_io.h"
 #include "mj_fixture.h"
 #include "rules/grounding.h"
+#include "service_fixture.h"
 #include "topk/batch_check.h"
 #include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
 
 using testing_fixture::MjSpecification;
+using testing_fixture::ServiceVerdicts;
 
 /// Example 9/10 setting (as in test_batch_check.cc): drop `team` from ϕ6
 /// so the deduced target is incomplete and candidates exist.
@@ -141,16 +136,15 @@ TEST(CheckStrategy, BatchVerdictsMatchAcrossStrategiesAndThreads) {
   const ChaseEngine engine(spec.ie, &program, spec.config);
   const std::vector<Tuple> pool = MixedPool(spec, engine);
 
-  Specification copy_spec = spec;
-  copy_spec.config.check_strategy = CheckStrategy::kCopy;
-  const std::vector<char> reference = CheckCandidates(copy_spec, pool, 1);
-
-  Specification trail_spec = spec;
-  trail_spec.config.check_strategy = CheckStrategy::kTrail;
+  const std::vector<char> reference =
+      ServiceVerdicts(spec, pool, 1, CheckStrategy::kCopy);
+  ASSERT_EQ(reference.size(), pool.size());
   for (int threads : {1, 4}) {
-    EXPECT_EQ(CheckCandidates(trail_spec, pool, threads), reference)
+    EXPECT_EQ(ServiceVerdicts(spec, pool, threads, CheckStrategy::kTrail),
+              reference)
         << "threads=" << threads;
-    EXPECT_EQ(CheckCandidates(copy_spec, pool, threads), reference)
+    EXPECT_EQ(ServiceVerdicts(spec, pool, threads, CheckStrategy::kCopy),
+              reference)
         << "threads=" << threads;
   }
 }
@@ -300,5 +294,3 @@ TEST(CheckStrategy, ConfigRoundTripsThroughSpecJson) {
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

@@ -218,7 +218,7 @@ TEST_F(CliTest, PipelineOverFlatRelation) {
 
 TEST_F(CliTest, PipelineHonoursSpecChaseConfig) {
   // Regression: `relacc pipeline` used to default-construct its
-  // PipelineOptions and drop the spec document's ChaseConfig entirely. A
+  // pipeline options and drop the spec document's ChaseConfig entirely. A
   // config with a one-action budget makes every per-entity chase abort,
   // which is only observable when the config actually reaches the
   // engine; under the old bug every entity came back Church-Rosser.

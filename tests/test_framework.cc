@@ -9,27 +9,20 @@
 #include "datagen/profile_generator.h"
 #include "framework/framework.h"
 #include "mj_fixture.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
+#include "service_fixture.h"
 
 namespace relacc {
 namespace {
 
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
+using testing_fixture::DriveOwnEntity;
 using testing_fixture::Phi12;
 
 TEST(Framework, CompleteTargetNeedsNoInteraction) {
   Specification spec = MjSpecification();
-  const PreferenceModel pref =
-      PreferenceModel::FromOccurrences(spec.ie, spec.masters);
   SimulatedUser user(MjExpectedTarget());
-  const FrameworkResult r = RunFramework(spec, pref, &user);
+  const FrameworkResult r = DriveOwnEntity(spec, &user);
   EXPECT_TRUE(r.church_rosser);
   EXPECT_TRUE(r.found_complete_target);
   EXPECT_EQ(r.interaction_rounds, 0);
@@ -43,10 +36,8 @@ TEST(Framework, IncompleteTargetResolvedViaCandidates) {
   Specification spec = MjSpecification();
   std::erase_if(spec.rules,
                 [](const AccuracyRule& r) { return r.name == "phi11"; });
-  const PreferenceModel pref =
-      PreferenceModel::FromOccurrences(spec.ie, spec.masters);
   SimulatedUser user(MjExpectedTarget());
-  const FrameworkResult r = RunFramework(spec, pref, &user);
+  const FrameworkResult r = DriveOwnEntity(spec, &user);
   EXPECT_TRUE(r.found_complete_target);
   EXPECT_EQ(r.target, MjExpectedTarget());
   EXPECT_LE(r.interaction_rounds, 1);
@@ -55,10 +46,8 @@ TEST(Framework, IncompleteTargetResolvedViaCandidates) {
 TEST(Framework, NonChurchRosserSpecIsReported) {
   Specification spec = MjSpecification();
   spec.rules.push_back(Phi12(spec.ie.schema()));
-  const PreferenceModel pref =
-      PreferenceModel::FromOccurrences(spec.ie, spec.masters);
   SimulatedUser user(MjExpectedTarget());
-  const FrameworkResult r = RunFramework(spec, pref, &user);
+  const FrameworkResult r = DriveOwnEntity(spec, &user);
   EXPECT_FALSE(r.church_rosser);
   EXPECT_FALSE(r.found_complete_target);
 }
@@ -72,13 +61,9 @@ TEST(Framework, RevisionsConvergeOnGeneratedEntities) {
   const EntityDataset ds = GenerateProfile(c);
   int max_rounds = 0;
   for (std::size_t i = 0; i < ds.entities.size(); ++i) {
-    Specification spec = ds.SpecFor(static_cast<int>(i));
-    const PreferenceModel pref =
-        PreferenceModel::FromOccurrences(spec.ie, spec.masters);
     SimulatedUser user(ds.truths[i]);
-    FrameworkOptions opts;
-    opts.k = 15;
-    const FrameworkResult r = RunFramework(spec, pref, &user, opts);
+    const FrameworkResult r =
+        DriveOwnEntity(ds.SpecFor(static_cast<int>(i)), &user, /*k=*/15);
     ASSERT_TRUE(r.church_rosser) << "entity " << i;
     EXPECT_TRUE(r.found_complete_target) << "entity " << i;
     max_rounds = std::max(max_rounds, r.interaction_rounds);
@@ -129,13 +114,8 @@ TEST(Framework, TranscriptsIdenticalAcrossStrategiesAndThreadBudgets) {
       for (int threads : {1, 4, 8}) {
         Specification spec = ds.SpecFor(static_cast<int>(i));
         spec.config.check_strategy = strategy;
-        const PreferenceModel pref =
-            PreferenceModel::FromOccurrences(spec.ie, spec.masters);
         TranscriptUser user(ds.truths[i]);
-        FrameworkOptions opts;
-        opts.k = 5;
-        opts.topk.num_threads = threads;
-        const FrameworkResult r = RunFramework(spec, pref, &user, opts);
+        const FrameworkResult r = DriveOwnEntity(spec, &user, /*k=*/5, threads);
         ASSERT_TRUE(r.church_rosser) << "entity " << i;
         const std::string config_name =
             std::string(CheckStrategyName(strategy)) + "/" +
@@ -173,5 +153,3 @@ TEST(SimulatedUserTest, AcceptsExactCandidateOnly) {
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

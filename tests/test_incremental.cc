@@ -1,3 +1,4 @@
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -5,18 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "api/accuracy_service.h"
 #include "chase/chase_engine.h"
 #include "datagen/profile_generator.h"
 #include "framework/framework.h"
 #include "mj_fixture.h"
 #include "topk/batch_check.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
@@ -230,7 +225,7 @@ TEST_P(ResumeWithStrategy, SessionExtensionMatchesFromScratchEveryRound) {
       Instantiate(fx->spec.ie, fx->spec.masters, fx->spec.rules);
   ChaseEngine engine(fx->spec.ie, &program, fx->spec.config);
 
-  // Cumulative reveals, as RunFramework issues them: every round must
+  // Cumulative reveals, as DriveInteraction issues them: every round must
   // match the from-scratch chase of the same designated values.
   const int num_attrs = fx->spec.ie.schema().size();
   Tuple cumulative(std::vector<Value>(num_attrs, Value::Null()));
@@ -387,36 +382,74 @@ TEST(ChaseConfig, ActionBudgetAborts) {
   EXPECT_NE(outcome.violation.find("budget"), std::string::npos);
 }
 
-TEST(Framework, IncrementalAndFullPathsAgree) {
+/// Wraps SimulatedUser: every deduced target the framework shows the
+/// user must equal a from-scratch chase (ChaseEngine::Run) of the
+/// session's current template on a separate engine.
+class RechasingUser : public UserOracle {
+ public:
+  RechasingUser(Tuple truth, const ChaseEngine& fresh,
+                const InteractionSession& session)
+      : inner_(std::move(truth)), fresh_(fresh), session_(session) {}
+
+  Response Inspect(const Tuple& deduced_te,
+                   const std::vector<Tuple>& candidates) override {
+    const ChaseOutcome full = fresh_.Run(session_.target_template());
+    EXPECT_TRUE(full.church_rosser);
+    EXPECT_EQ(deduced_te, full.target)
+        << "after " << session_.revisions() << " revisions";
+    if (session_.revisions() > 0) ++checked_after_revision_;
+    return inner_.Inspect(deduced_te, candidates);
+  }
+
+  int checked_after_revision() const { return checked_after_revision_; }
+
+ private:
+  SimulatedUser inner_;
+  const ChaseEngine& fresh_;
+  const InteractionSession& session_;
+  int checked_after_revision_ = 0;
+};
+
+TEST(Framework, SuggestionsMatchAFullRechaseAfterEveryRevision) {
+  // Suggest() resumes the session's trail state (ChaseEngine::ResumeWith)
+  // after each Revise(); what it deduces must be what a full re-chase of
+  // the same template deduces.
   ProfileConfig config = MedConfig(/*seed=*/91);
   config.num_entities = 15;
   config.master_size = 12;
-  EntityDataset dataset = GenerateProfile(config);
+  config.num_free_attrs = 4;
+  config.free_corruption_prob = 0.6;
+  const EntityDataset dataset = GenerateProfile(config);
 
+  int checked_after_revision = 0;
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
-    Specification spec = dataset.SpecFor(static_cast<int>(i));
-    PreferenceModel pref =
-        PreferenceModel::FromOccurrences(spec.ie, spec.masters);
-    FrameworkOptions incremental;
-    incremental.incremental = true;
-    FrameworkOptions full;
-    full.incremental = false;
+    const Specification spec = dataset.SpecFor(static_cast<int>(i));
+    const GroundProgram program =
+        Instantiate(spec.ie, spec.masters, spec.rules);
+    const ChaseEngine fresh(spec.ie, &program, spec.config);
 
-    SimulatedUser user_a(dataset.truths[i]);
-    SimulatedUser user_b(dataset.truths[i]);
-    FrameworkResult a = RunFramework(spec, pref, &user_a, incremental);
-    FrameworkResult b = RunFramework(spec, pref, &user_b, full);
-    EXPECT_EQ(a.church_rosser, b.church_rosser) << "entity " << i;
-    EXPECT_EQ(a.found_complete_target, b.found_complete_target)
-        << "entity " << i;
-    EXPECT_EQ(a.interaction_rounds, b.interaction_rounds) << "entity " << i;
-    if (a.found_complete_target && b.found_complete_target) {
-      EXPECT_EQ(a.target, b.target) << "entity " << i;
+    ServiceOptions options;
+    options.num_threads = 1;
+    Result<std::unique_ptr<AccuracyService>> service =
+        AccuracyService::Create(spec, std::move(options));
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    Result<std::unique_ptr<InteractionSession>> session =
+        service.value()->StartInteraction();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+    RechasingUser user(dataset.truths[i], fresh, *session.value());
+    const FrameworkResult result = DriveInteraction(*session.value(), &user);
+    ASSERT_TRUE(result.church_rosser) << "entity " << i;
+    // The round that ends the loop on a complete deduction never reaches
+    // the user; check it here.
+    const ChaseOutcome last = fresh.Run(session.value()->target_template());
+    if (last.target.IsComplete()) {
+      EXPECT_EQ(result.target, last.target) << "entity " << i;
     }
+    checked_after_revision += user.checked_after_revision();
   }
+  EXPECT_GT(checked_after_revision, 0);
 }
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

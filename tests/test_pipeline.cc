@@ -7,22 +7,19 @@
 #include <gtest/gtest.h>
 
 #include "datagen/profile_generator.h"
+#include "er/resolver.h"
 #include "mj_fixture.h"
 #include "pipeline/pipeline.h"
+#include "service_fixture.h"
 #include "util/thread_pool.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
 
 namespace relacc {
 namespace {
 
 using testing_fixture::MjExpectedTarget;
 using testing_fixture::MjSpecification;
+using testing_fixture::PipelineSpec;
+using testing_fixture::RunPipelineSession;
 
 // --- thread pool -------------------------------------------------------------
 
@@ -100,8 +97,7 @@ TEST(Pipeline, SingleEntityMatchesIsCR) {
   EntityInstance entity(7, spec.ie.schema());
   for (const Tuple& t : spec.ie.tuples()) entity.Add(t);
 
-  PipelineReport report =
-      RunPipeline({entity}, spec.masters, spec.rules, PipelineOptions{});
+  PipelineReport report = RunPipelineSession(spec, {entity});
   ASSERT_EQ(report.entities.size(), 1u);
   const EntityReport& e = report.entities[0];
   EXPECT_EQ(e.entity_id, 7);
@@ -122,11 +118,11 @@ PipelineReport MedPipelineReport(int num_threads,
   config.num_entities = num_entities;
   config.master_size = 45;
   EntityDataset dataset = GenerateProfile(config);
-  PipelineOptions options;
+  ServiceOptions options;
   options.num_threads = num_threads;
   options.completion = policy;
-  return RunPipeline(dataset.entities, dataset.masters, dataset.rules,
-                     options);
+  return RunPipelineSession(PipelineSpec(dataset), dataset.entities,
+                            std::move(options));
 }
 
 TEST(Pipeline, ParallelAndSerialRunsAgreeExactly) {
@@ -221,8 +217,10 @@ TEST(Pipeline, FlatInputGoesThroughEntityResolution) {
 
   ResolverConfig er;
   er.key_attrs = {schema.MustIndexOf("name")};
-  PipelineReport report = RunPipelineOnFlat(flat, er, /*masters=*/{},
-                                            /*rules=*/{}, PipelineOptions{});
+  const ResolutionResult resolution = ResolveEntities(flat, er);
+  Specification spec;  // no masters, no rules
+  spec.ie = Relation(schema);
+  PipelineReport report = RunPipelineSession(spec, resolution.entities);
   EXPECT_EQ(report.entities.size(), 2u);
   EXPECT_EQ(report.total_tuples, 6);
   for (const EntityReport& e : report.entities) {
@@ -231,8 +229,7 @@ TEST(Pipeline, FlatInputGoesThroughEntityResolution) {
 }
 
 TEST(Pipeline, EmptyInputYieldsEmptyReport) {
-  PipelineReport report =
-      RunPipeline({}, /*masters=*/{}, /*rules=*/{}, PipelineOptions{});
+  PipelineReport report = RunPipelineSession(Specification{}, {});
   EXPECT_TRUE(report.entities.empty());
   EXPECT_EQ(report.targets.size(), 0);
   EXPECT_EQ(report.num_church_rosser, 0);
@@ -288,29 +285,6 @@ TEST(Pipeline, ReportsItsThreadPlan) {
   EXPECT_EQ(report.plan.check_threads, 1);
 }
 
-TEST(Pipeline, CheckerReuseAndRebuildAgreeExactly) {
-  ProfileConfig config = MedConfig(/*seed=*/5);
-  config.num_entities = 40;
-  config.master_size = 45;
-  EntityDataset dataset = GenerateProfile(config);
-  PipelineOptions reuse;
-  reuse.num_threads = 4;
-  reuse.reuse_checkers = true;
-  PipelineOptions rebuild = reuse;
-  rebuild.reuse_checkers = false;
-  PipelineReport a =
-      RunPipeline(dataset.entities, dataset.masters, dataset.rules, reuse);
-  PipelineReport b =
-      RunPipeline(dataset.entities, dataset.masters, dataset.rules, rebuild);
-  ASSERT_EQ(a.entities.size(), b.entities.size());
-  EXPECT_GT(a.num_completed_by_candidates, 0);  // the checkers did work
-  for (size_t i = 0; i < a.entities.size(); ++i) {
-    EXPECT_EQ(a.entities[i].church_rosser, b.entities[i].church_rosser) << i;
-    EXPECT_EQ(a.entities[i].complete, b.entities[i].complete) << i;
-    EXPECT_EQ(a.entities[i].target, b.entities[i].target) << i;
-  }
-}
-
 TEST(Pipeline, ReportsAgreeAcrossThreadBudgets) {
   PipelineReport one = MedPipelineReport(1, CompletionPolicy::kBestCandidate);
   PipelineReport three =
@@ -336,15 +310,15 @@ TEST(Pipeline, SharedPreferenceModelIsHonoured) {
   // A degenerate preference model (all zero weights) is still usable; the
   // pipeline must not crash and must produce valid candidates.
   PreferenceModel flat_pref(dataset.schema.size());
-  PipelineOptions options;
+  ServiceOptions options;
   options.num_threads = 2;
-  options.preference = &flat_pref;
-  PipelineReport report = RunPipeline(dataset.entities, dataset.masters,
-                                      dataset.rules, options);
+  PipelineSessionOptions session_options;
+  session_options.preference = &flat_pref;
+  PipelineReport report =
+      RunPipelineSession(PipelineSpec(dataset), dataset.entities,
+                         std::move(options), std::move(session_options));
   EXPECT_EQ(report.entities.size(), dataset.entities.size());
 }
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

@@ -3,7 +3,8 @@
 //  * target dominance: a deduced te[A] is witnessed by a ⪯_A-greatest tuple;
 //  * the explainer derives exactly the engine's order pairs;
 //  * DSL and JSON round trips preserve chase semantics on generated rules;
-//  * the pipeline is deterministic across thread counts and profiles.
+//  * the pipeline is deterministic across thread counts, windows and
+//    profiles.
 
 #include <algorithm>
 #include <string>
@@ -17,16 +18,15 @@
 #include "dsl/parser.h"
 #include "io/spec_io.h"
 #include "pipeline/pipeline.h"
-
-// This file deliberately exercises the deprecated batch entry points:
-// they are thin shims over AccuracyService now, and the expectations
-// here are what pin the shims to the service's behaviour.
-#include "api/version.h"
-
-RELACC_SUPPRESS_DEPRECATED_BEGIN
+#include "service_fixture.h"
 
 namespace relacc {
 namespace {
+
+using testing_fixture::PipelineSpec;
+using testing_fixture::ReferencePipelineReport;
+using testing_fixture::RunPipelineSession;
+using testing_fixture::SerializeReport;
 
 class ExtensionProperties : public ::testing::TestWithParam<int> {
  protected:
@@ -142,25 +142,17 @@ TEST_P(ExtensionProperties, GeneratedSpecsSurviveTheJsonRoundTrip) {
 
 TEST_P(ExtensionProperties, PipelineIsThreadCountInvariantOnCfp) {
   EntityDataset dataset = MakeDataset(/*cfp=*/true);
-  PipelineOptions one;
-  one.num_threads = 1;
-  PipelineOptions many;
+  const PipelineReport reference =
+      ReferencePipelineReport(PipelineSpec(dataset), dataset.entities);
+  ServiceOptions many;
   many.num_threads = 5;
-  PipelineReport a =
-      RunPipeline(dataset.entities, dataset.masters, dataset.rules, one);
-  PipelineReport b =
-      RunPipeline(dataset.entities, dataset.masters, dataset.rules, many);
-  ASSERT_EQ(a.entities.size(), b.entities.size());
-  for (size_t i = 0; i < a.entities.size(); ++i) {
-    EXPECT_EQ(a.entities[i].target, b.entities[i].target) << i;
-  }
-  EXPECT_EQ(a.num_complete_by_chase, b.num_complete_by_chase);
-  EXPECT_EQ(a.num_completed_by_candidates, b.num_completed_by_candidates);
+  many.window = 5;  // 12 entities: three windows
+  const PipelineReport streamed = RunPipelineSession(
+      PipelineSpec(dataset), dataset.entities, std::move(many));
+  EXPECT_EQ(SerializeReport(streamed), SerializeReport(reference));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtensionProperties, ::testing::Range(1, 13));
 
 }  // namespace
 }  // namespace relacc
-
-RELACC_SUPPRESS_DEPRECATED_END

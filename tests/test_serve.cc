@@ -1183,6 +1183,47 @@ TEST(ServeMultiReplica, ByteIdenticalAcrossReplicaCounts) {
   }
 }
 
+TEST(ServeReplicaPool, AggregatePercentilesMergeReplicaHistograms) {
+  // Replica 0 runs many fast jobs, replica 1 a few slow ones (an
+  // injected 40 ms pause before each). Most requests were fast, so the
+  // pool-wide p50 is the fast bucket; only the tail sees the slow
+  // replica.
+  Result<std::unique_ptr<serve::FaultInjector>> fault =
+      serve::FaultInjector::Parse("delay:1:40");
+  ASSERT_TRUE(fault.ok()) << fault.status().ToString();
+  std::vector<std::unique_ptr<AccuracyService>> services;
+  std::vector<AccuracyService*> raw;
+  for (int i = 0; i < 2; ++i) {
+    Result<std::unique_ptr<AccuracyService>> service =
+        AccuracyService::Create(MjSpecification(), ServiceOptions{});
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    services.push_back(std::move(service).value());
+    raw.push_back(services.back().get());
+  }
+  serve::ReplicaPoolOptions options;
+  options.fault = fault.value().get();
+  Result<std::unique_ptr<serve::ReplicaPool>> pool =
+      serve::ReplicaPool::Create(std::move(raw), options);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(pool.value()
+                    ->scheduler(0)
+                    ->Enqueue(1, JobClass::kInteractive, [] {})
+                    .ok());
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(pool.value()
+                    ->scheduler(1)
+                    ->Enqueue(1, JobClass::kInteractive, [] {})
+                    .ok());
+  }
+  pool.value()->Drain();
+  const Scheduler::Stats stats = pool.value()->aggregate_stats();
+  EXPECT_EQ(stats.executed_interactive, 22);
+  EXPECT_LT(stats.p50_interactive_ms, 40.0);
+  EXPECT_GE(stats.p99_interactive_ms, 40.0);
+}
+
 TEST(ServeMultiReplica, DisconnectMidRequestReapsTenantAndDaemonSurvives) {
   ReplicatedDaemon daemon = ReplicatedDaemon::Start(1, {});
   ASSERT_NE(daemon.server, nullptr);
