@@ -9,10 +9,12 @@
 // Each mode run measures
 //   * build_ms    — appending the stream into the store (interning cost
 //                   is visible here for the columnar side);
-//   * ground_ms   — Instantiate over a fixed sample of entity instances
-//                   (columnar includes the per-entity FromRelation
-//                   encode, exactly as the pipeline's columnar phase
-//                   pays it);
+//   * ground_ms   — Instantiate over a fixed sample of entity instances.
+//                   Both modes include the per-entity encode, as the
+//                   pipeline pays it: the columnar side calls
+//                   FromRelation into the shared dictionary, the row side
+//                   goes through Instantiate's Relation adapter (a
+//                   call-local dictionary per entity);
 //   * chase_ms    — ChaseEngine::RunFromInitial over the same sample;
 //   * maxrss_kb   — getrusage peak RSS with the full store resident;
 // and prints a digest of the chase targets. The driver asserts the

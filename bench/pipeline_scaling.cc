@@ -42,6 +42,7 @@
 
 #include "api/accuracy_service.h"
 #include "common.h"
+#include "core/columnar.h"
 #include "datagen/profile_generator.h"
 #include "pipeline/pipeline.h"
 
@@ -163,7 +164,9 @@ bool RunGroundScaling(JsonReport* json) {
     config.max_tuples = n;
     config.master_size = 60;
     const EntityDataset ds = GenerateProfile(config);
-    const Relation& ie = ds.entities[0];
+    Dictionary dict;
+    const ColumnarRelation ie =
+        ColumnarRelation::FromRelation(ds.entities[0], &dict);
     const int reps = small ? 3 : (n >= 96 ? 5 : 10);
     const GroundProgram reference = Instantiate(ie, ds.masters, ds.rules);
     double serial_ms = 0.0;
@@ -175,9 +178,7 @@ bool RunGroundScaling(JsonReport* json) {
       GroundProgram program;
       const double ms = TimeMs([&] {
         for (int r = 0; r < reps; ++r) {
-          program = shards <= 1
-                        ? Instantiate(ie, ds.masters, ds.rules)
-                        : Instantiate(ie, ds.masters, ds.rules, shards);
+          program = Instantiate(ie, ds.masters, ds.rules, shards);
         }
       });
       const double ms_per = ms / reps;

@@ -80,10 +80,8 @@ int Run() {
   ChaseOutcome cold_outcome;
   Status failure = Status::OK();
   const double cold_ms = TimeMs([&] {
-    ServiceOptions options;
-    options.columnar_storage = true;
     Result<std::unique_ptr<AccuracyService>> created =
-        AccuracyService::Create(spec, options);
+        AccuracyService::Create(spec);
     if (!created.ok()) {
       failure = created.status();
       return;

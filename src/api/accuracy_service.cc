@@ -18,52 +18,45 @@ namespace relacc {
 
 namespace {
 
-/// Phase-2 carry-over for one incomplete entity: the grounded program
-/// and the engine with its warm all-null checkpoint, kept alive across
-/// the phase boundary so completion never re-grounds or re-chases.
-/// Under columnar storage the encoded relation rides along too — the
-/// engine reads its columns until phase 2 retires it.
+/// Phase-2 carry-over for one incomplete entity: its dictionary-encoded
+/// relation, the grounded program and the engine with its warm all-null
+/// checkpoint, kept alive across the phase boundary so completion never
+/// re-grounds or re-chases. The dictionary is entity-local: concurrently
+/// chased entities never contend on one shared interner, and the terms
+/// go away with the entity. Members are destroyed engine first,
+/// dictionary last.
 struct PendingCompletion {
-  std::unique_ptr<ColumnarRelation> columnar;
+  Dictionary dict;
+  std::unique_ptr<ColumnarRelation> columnar;  ///< interned into dict
   std::unique_ptr<GroundProgram> program;
-  std::unique_ptr<ChaseEngine> engine;  ///< references *program
+  std::unique_ptr<ChaseEngine> engine;  ///< references the two above
 };
 
-/// Phase 1 for one entity: ground and run the checkpoint chase. When the
-/// target stays incomplete (and completion is enabled), the engine is
-/// handed back via `pending` for phase 2. Pure function of its inputs
-/// (`dict` only accretes interned terms, thread-safely); called
-/// concurrently. A non-null `dict` selects dictionary-encoded storage:
-/// the entity is interned into it and grounded/chased on integer
-/// columns — the report is byte-identical either way.
+/// Phase 1 for one entity: encode, ground and run the checkpoint chase.
+/// When the target stays incomplete (and completion is enabled), the
+/// engine is handed back via `pending` for phase 2. Pure function of its
+/// inputs; called concurrently.
 EntityReport ChaseEntityPhase(const EntityInstance& entity,
                               const std::vector<Relation>& masters,
                               const std::vector<AccuracyRule>& rules,
                               const ChaseConfig& chase,
-                              CompletionPolicy completion, Dictionary* dict,
+                              CompletionPolicy completion,
                               std::unique_ptr<PendingCompletion>* pending) {
   EntityReport report;
   report.entity_id = entity.entity_id();
   report.num_tuples = entity.size();
 
-  std::unique_ptr<ColumnarRelation> columnar;
-  std::unique_ptr<GroundProgram> program;
-  std::unique_ptr<ChaseEngine> engine;
-  if (dict != nullptr) {
-    columnar = std::make_unique<ColumnarRelation>(
-        ColumnarRelation::FromRelation(entity, dict));
-    program = std::make_unique<GroundProgram>(
-        Instantiate(*columnar, masters, rules));
-    engine = std::make_unique<ChaseEngine>(*columnar, program.get(), chase);
-  } else {
-    program =
-        std::make_unique<GroundProgram>(Instantiate(entity, masters, rules));
-    engine = std::make_unique<ChaseEngine>(entity, program.get(), chase);
-  }
+  auto p = std::make_unique<PendingCompletion>();
+  p->columnar = std::make_unique<ColumnarRelation>(
+      ColumnarRelation::FromRelation(entity, &p->dict));
+  p->program =
+      std::make_unique<GroundProgram>(Instantiate(*p->columnar, masters, rules));
+  p->engine =
+      std::make_unique<ChaseEngine>(*p->columnar, p->program.get(), chase);
   // Serve the all-null chase from the engine's checkpoint: the candidate
   // completion of phase 2 checks against the same checkpoint, so each
   // entity is chased once, not twice.
-  ChaseOutcome outcome = engine->RunFromCheckpoint();
+  ChaseOutcome outcome = p->engine->RunFromCheckpoint();
   if (!outcome.church_rosser) {
     report.violation = outcome.violation;
     return report;
@@ -73,10 +66,6 @@ EntityReport ChaseEntityPhase(const EntityInstance& entity,
   report.target = outcome.target;
   report.complete = outcome.target.IsComplete();
   if (!report.complete && completion != CompletionPolicy::kLeaveNull) {
-    auto p = std::make_unique<PendingCompletion>();
-    p->columnar = std::move(columnar);
-    p->program = std::move(program);
-    p->engine = std::move(engine);
     *pending = std::move(p);
   }
   return report;
@@ -159,12 +148,6 @@ Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
         "ServiceOptions::window must be >= 1, got " +
         std::to_string(options.window));
   }
-  if (options.ground_shards < 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions::ground_shards must be >= 0 (0 = thread budget), "
-        "got " +
-        std::to_string(options.ground_shards));
-  }
   if (options.validate_spec) {
     // Static analysis at the door (analysis/analyzer.h): reject on
     // error-severity findings; warnings are lint's business.
@@ -199,7 +182,6 @@ Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
           "ServiceOptions::snapshot_path and ::validate_spec are mutually "
           "exclusive: the artifact was validated when it was built");
     }
-    options.columnar_storage = true;  // the artifact is dictionary-encoded
     const int budget = ResolveBudget(options.num_threads);
     ServiceOptions snap_options = options;  // the attempt; `options` is
                                             // retained for the fallback
@@ -210,8 +192,8 @@ Result<std::unique_ptr<AccuracyService>> AccuracyService::Create(
     if (!options.snapshot_fallback) return loaded;
     // Graceful degradation: a corrupt/mismatched artifact must not keep
     // the daemon down when the spec can rebuild the same state cold.
-    // columnar_storage stays true, so results are bit-for-bit what the
-    // snapshot would have served — only the O(1) start is lost.
+    // Results are bit-for-bit what the snapshot would have served — only
+    // the O(1) start is lost.
     service.reset();  // drop the half-open reader before rebuilding
     options.snapshot_path.clear();
     auto cold = std::unique_ptr<AccuracyService>(
@@ -295,11 +277,6 @@ Status AccuracyService::EnsureMasters() {
 }
 
 Status AccuracyService::WriteSnapshot(const std::string& path) {
-  if (!options_.columnar_storage) {
-    return Status::FailedPrecondition(
-        "WriteSnapshot: the artifact stores dictionary-encoded columns; "
-        "create the service with ServiceOptions::columnar_storage = true");
-  }
   // Interning order matters: the engine build (step payloads, residual
   // constants) and the master encodings below all intern into dict_
   // BEFORE the dictionary section is written, so the ids embedded in
@@ -353,8 +330,7 @@ Status AccuracyService::EnsureDefaultEngine() {
   // Sharded bring-up (the large-|Ie| startup path): grounding and the
   // engine's index build both fan out over the budget pool; the chase to
   // the checkpoint itself stays sequential (and lazy).
-  const int shards = GroundShardCount();
-  ThreadPool* pool = shards > 1 ? &ChasePool() : nullptr;
+  ThreadPool* pool = budget_ > 1 ? &ChasePool() : nullptr;
   if (reader_ != nullptr) {
     // Snapshot path: the program and the chased checkpoint come from the
     // artifact — no grounding, no chase. The engine is still only built
@@ -375,19 +351,12 @@ Status AccuracyService::EnsureDefaultEngine() {
     engine_token_ = NewBindingToken();
     return Status::OK();
   }
-  if (options_.columnar_storage) {
-    cie_ = std::make_unique<ColumnarRelation>(
-        ColumnarRelation::FromRelation(spec_.ie, dict_.get()));
-    program_ = std::make_unique<GroundProgram>(
-        Instantiate(*cie_, spec_.masters, spec_.rules, shards, pool));
-    engine_ = std::make_unique<ChaseEngine>(*cie_, program_.get(),
-                                            spec_.config, pool);
-  } else {
-    program_ = std::make_unique<GroundProgram>(
-        Instantiate(spec_.ie, spec_.masters, spec_.rules, shards, pool));
-    engine_ = std::make_unique<ChaseEngine>(spec_.ie, program_.get(),
-                                            spec_.config, pool, dict_.get());
-  }
+  cie_ = std::make_unique<ColumnarRelation>(
+      ColumnarRelation::FromRelation(spec_.ie, dict_.get()));
+  program_ = std::make_unique<GroundProgram>(
+      Instantiate(*cie_, spec_.masters, spec_.rules, budget_, pool));
+  engine_ = std::make_unique<ChaseEngine>(*cie_, program_.get(),
+                                          spec_.config, pool);
   engine_token_ = NewBindingToken();
   return Status::OK();
 }
@@ -455,25 +424,16 @@ Result<ChaseOutcome> AccuracyService::DeduceEntity(const Relation& entity) {
                             0);
     if (auto hit = memo_->Lookup(key)) return hit->outcome;
   }
-  const int shards = GroundShardCount();
-  ThreadPool* pool = shards > 1 ? &ChasePool() : nullptr;
-  ChaseOutcome outcome;
-  if (options_.columnar_storage) {
-    // One-shot: a call-local dictionary, so no state (or memory) is
-    // retained by the service for ad-hoc entities.
-    Dictionary local_dict;
-    const ColumnarRelation cie =
-        ColumnarRelation::FromRelation(entity, &local_dict);
-    const GroundProgram program =
-        Instantiate(cie, spec_.masters, spec_.rules, shards, pool);
-    ChaseEngine engine(cie, &program, spec_.config, pool);
-    outcome = engine.RunFromInitial();
-  } else {
-    const GroundProgram program =
-        Instantiate(entity, spec_.masters, spec_.rules, shards, pool);
-    ChaseEngine engine(entity, &program, spec_.config, pool);
-    outcome = engine.RunFromInitial();
-  }
+  // One-shot: a call-local dictionary, so no state (or memory) is
+  // retained by the service for ad-hoc entities.
+  ThreadPool* pool = budget_ > 1 ? &ChasePool() : nullptr;
+  Dictionary local_dict;
+  const ColumnarRelation cie =
+      ColumnarRelation::FromRelation(entity, &local_dict);
+  const GroundProgram program =
+      Instantiate(cie, spec_.masters, spec_.rules, budget_, pool);
+  ChaseEngine engine(cie, &program, spec_.config, pool);
+  ChaseOutcome outcome = engine.RunFromInitial();
   if (memoize) {
     auto entry = std::make_shared<snapshot::MemoEntry>();
     entry->outcome = outcome;
@@ -571,7 +531,7 @@ Result<std::unique_ptr<PipelineSession>> AccuracyService::StartPipeline(
 
 Result<std::unique_ptr<InteractionSession>>
 AccuracyService::StartInteractionImpl(InteractionOptions options,
-                                      std::unique_ptr<Relation> own_ie) {
+                                      const Relation* own_ie) {
   if (options.k < 1) {
     return Status::InvalidArgument(
         "InteractionOptions::k must be >= 1, got " +
@@ -582,29 +542,21 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
   RELACC_RETURN_NOT_OK(EnsureMasters());
   auto session = std::unique_ptr<InteractionSession>(
       new InteractionSession(this, std::move(options)));
-  const Relation* ie;
-  const ColumnarRelation* cie = nullptr;
+  const Relation* ie = &spec_.ie;
+  const ColumnarRelation* cie;
   const GroundProgram* program;
   if (own_ie == nullptr) {
     RELACC_RETURN_NOT_OK(EnsureDefaultEngine());
-    ie = &spec_.ie;
     cie = cie_.get();
     program = program_.get();
   } else {
-    session->own_ie_ = std::move(own_ie);
-    const int shards = GroundShardCount();
-    ThreadPool* pool = shards > 1 ? &ChasePool() : nullptr;
-    ie = session->own_ie_.get();
-    if (options_.columnar_storage) {
-      session->own_cie_ = std::make_unique<ColumnarRelation>(
-          ColumnarRelation::FromRelation(*ie, dict_.get()));
-      cie = session->own_cie_.get();
-      session->own_program_ = std::make_unique<GroundProgram>(
-          Instantiate(*cie, spec_.masters, spec_.rules, shards, pool));
-    } else {
-      session->own_program_ = std::make_unique<GroundProgram>(Instantiate(
-          *session->own_ie_, spec_.masters, spec_.rules, shards, pool));
-    }
+    ie = own_ie;
+    ThreadPool* pool = budget_ > 1 ? &ChasePool() : nullptr;
+    session->own_cie_ = std::make_unique<ColumnarRelation>(
+        ColumnarRelation::FromRelation(*own_ie, dict_.get()));
+    cie = session->own_cie_.get();
+    session->own_program_ = std::make_unique<GroundProgram>(
+        Instantiate(*cie, spec_.masters, spec_.rules, budget_, pool));
     program = session->own_program_.get();
   }
   // Session-owned engine either way: the ResumeWith trail session is
@@ -612,14 +564,8 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
   // Default-entity sessions still share the service checkpoint by
   // pointer (no second all-null chase) — which requires the session
   // engine to intern into the same dictionary as the service engine.
-  if (cie != nullptr) {
-    session->engine_ =
-        std::make_unique<ChaseEngine>(*cie, program, spec_.config);
-  } else {
-    session->engine_ = std::make_unique<ChaseEngine>(
-        *ie, program, spec_.config, nullptr, dict_.get());
-  }
-  if (session->own_ie_ == nullptr) {
+  session->engine_ = std::make_unique<ChaseEngine>(*cie, program, spec_.config);
+  if (own_ie == nullptr) {
     session->engine_->AdoptCheckpointFrom(*engine_);
   }
   session->token_ = NewBindingToken();
@@ -638,8 +584,7 @@ Result<std::unique_ptr<InteractionSession>> AccuracyService::StartInteraction(
 
 Result<std::unique_ptr<InteractionSession>> AccuracyService::StartInteraction(
     Relation entity, InteractionOptions options) {
-  return StartInteractionImpl(std::move(options),
-                              std::make_unique<Relation>(std::move(entity)));
+  return StartInteractionImpl(std::move(options), &entity);
 }
 
 // ---------------------------------------------------------- PipelineSession
@@ -786,13 +731,10 @@ PipelineSession::WindowResult PipelineSession::ProcessWindow(
   WindowResult result;
   result.reports.resize(entities.size());
   std::vector<std::unique_ptr<PendingCompletion>> pending(entities.size());
-  Dictionary* const dict =
-      service_->options_.columnar_storage ? service_->dict_.get() : nullptr;
   service_->ChasePool().ParallelFor(count, [&](int64_t k) {
     result.reports[static_cast<std::size_t>(k)] = ChaseEntityPhase(
         entities[static_cast<std::size_t>(k)], spec.masters, spec.rules,
-        spec.config, completion_, dict,
-        &pending[static_cast<std::size_t>(k)]);
+        spec.config, completion_, &pending[static_cast<std::size_t>(k)]);
   });
 
   std::vector<int64_t> todo;

@@ -59,14 +59,6 @@ struct ServiceOptions {
   /// O(entities). Must be >= 1.
   int64_t window = 64;
 
-  /// Shard count for grounding the service's own specification —
-  /// Instantiate over rule×Ie row partitions plus the sharded engine
-  /// index build that consumes Γ (see rules/grounding.h). 0 derives the
-  /// count from the thread budget; 1 forces the serial path. The
-  /// GroundProgram (and therefore every chase) is identical for every
-  /// value; only AccuracyService::Create/first-use latency changes.
-  int ground_shards = 0;
-
   /// Run the static analyzer (analysis/analyzer.h) over the
   /// specification in Create. Error-severity findings — unknown
   /// attribute ids, unresolvable master references — make Create return
@@ -76,21 +68,14 @@ struct ServiceOptions {
   /// correct by construction and should not pay the analysis.
   bool validate_spec = false;
 
-  /// Store and chase the spec's entity instances dictionary-encoded
-  /// (core/columnar.h): terms are interned once into the service
-  /// dictionary, and grounding/chasing run on integer columns. Reports
-  /// and outcomes are byte-identical to the row path for every setting
-  /// (enforced by tests); what changes is the memory and cache profile —
-  /// O(distinct terms) Values plus 4-byte ids instead of a Value per
-  /// cell. The row Relation stays the public-API boundary either way.
-  bool columnar_storage = false;
-
-  /// The term dictionary the service interns into. Null (the default)
-  /// makes the service create its own; pass one to share terms across
-  /// services or to reuse a dictionary built at parse time
-  /// (SpecDocument::dict). Used by both storage modes — the engines'
-  /// TermId-encoded checkpoints are shared across workers and sessions,
-  /// which requires a common dictionary regardless of storage layout.
+  /// The term dictionary the service's own entity instance (and the
+  /// entities of interactive sessions) is interned into. Null (the
+  /// default) makes the service create its own; pass one to share terms
+  /// across services or to reuse a dictionary built at parse time
+  /// (SpecDocument::dict). The engines' TermId-encoded checkpoints are
+  /// shared across workers and sessions, which requires a common
+  /// dictionary. Pipeline entities and one-shot DeduceEntity(entity)
+  /// calls intern into dictionaries local to the entity instead.
   std::shared_ptr<Dictionary> dictionary;
 
   /// Path to a snapshot artifact (src/snapshot/) to load the service
@@ -98,9 +83,9 @@ struct ServiceOptions {
   /// ignores the passed spec and restores dictionary, entity instance,
   /// masters (zero-copy, mmap-backed), rules, config, grounded program
   /// and the chased all-null checkpoint from the file. Incompatible
-  /// with `chase`, `dictionary`, `validate_spec` and `columnar_storage
-  /// == false` being meaningful — those describe a from-scratch build,
-  /// so Create rejects the combinations with kInvalidArgument.
+  /// with `chase`, `dictionary` and `validate_spec` — those describe a
+  /// from-scratch build, so Create rejects the combinations with
+  /// kInvalidArgument.
   /// Version or CRC problems surface as kInvalidArgument / kDataLoss;
   /// a service is never half-built from a bad artifact.
   std::string snapshot_path;
@@ -272,15 +257,11 @@ class AccuracyService {
   /// engine, checker worker engines, completion slots and sessions.
   Dictionary* dictionary() const { return dict_.get(); }
 
-  /// Whether entity instances are stored and chased dictionary-encoded.
-  bool columnar_storage() const { return options_.columnar_storage; }
-
-  /// How this service stores its data: "row", "columnar", or
-  /// "snapshot" (mmap-backed artifact). Serve stats and bench rows
-  /// report this label.
+  /// How this service stores its data: "columnar" (built from the
+  /// Specification) or "snapshot" (mmap-backed artifact). Serve stats
+  /// and bench rows report this label.
   const char* storage_mode() const {
-    if (reader_ != nullptr) return "snapshot";
-    return options_.columnar_storage ? "columnar" : "row";
+    return reader_ != nullptr ? "snapshot" : "columnar";
   }
 
   /// Terms currently interned in the service dictionary (including the
@@ -301,10 +282,8 @@ class AccuracyService {
   /// Serializes the service's full derived state — dictionary, encoded
   /// entity instance, masters, rules, config, grounded program, chased
   /// all-null checkpoint — into a snapshot artifact at `path`, building
-  /// the engine and checkpoint first if needed. Requires columnar
-  /// storage (the artifact ships dictionary-encoded columns);
-  /// kFailedPrecondition otherwise. A snapshot-loaded service can
-  /// re-export.
+  /// the engine and checkpoint first if needed. A snapshot-loaded
+  /// service can re-export.
   Status WriteSnapshot(const std::string& path);
 
   /// Opens a streaming pipeline session. Rejects managed TopKOptions
@@ -362,9 +341,9 @@ class AccuracyService {
   /// Shared tail of both StartInteraction overloads: validates options
   /// and wires a session over either the service's own relation and
   /// program (own_ie null: checkpoint adopted from the service engine)
-  /// or a session-owned relation grounded here.
+  /// or `own_ie`, encoded into the session and grounded here.
   Result<std::unique_ptr<InteractionSession>> StartInteractionImpl(
-      InteractionOptions options, std::unique_ptr<Relation> own_ie);
+      InteractionOptions options, const Relation* own_ie);
 
   /// Grounds the spec's own entity instance and builds its engine, once.
   /// On a snapshot-loaded service this deserializes the stored program
@@ -414,12 +393,6 @@ class AccuracyService {
   const CandidateChecker& AcquireCompletionChecker(int slot, int width,
                                                    const ChaseEngine& engine);
 
-  /// The resolved grounding shard count (ServiceOptions::ground_shards;
-  /// 0 means the budget).
-  int GroundShardCount() const {
-    return options_.ground_shards > 0 ? options_.ground_shards : budget_;
-  }
-
   Specification spec_;
   ServiceOptions options_;
   int budget_;
@@ -435,9 +408,9 @@ class AccuracyService {
   std::unique_ptr<ThreadPool> pool_;
 
   // Lazily-grounded state of the spec's own entity instance; engine_
-  // owns the shared all-null checkpoint. Under columnar storage, cie_
-  // is the dictionary-encoded spec_.ie the engine reads its columns
-  // from (and must outlive the engine).
+  // owns the shared all-null checkpoint. cie_ is the dictionary-encoded
+  // spec_.ie the engine reads its columns from (and must outlive the
+  // engine).
   std::unique_ptr<ColumnarRelation> cie_;
   std::unique_ptr<GroundProgram> program_;
   std::unique_ptr<ChaseEngine> engine_;
@@ -651,10 +624,9 @@ class InteractionSession {
   InteractionOptions options_;
 
   // For sessions over a caller-supplied entity; default-entity sessions
-  // borrow the service's relation and program instead. Under columnar
-  // storage, own_cie_ is the encoded form the session engine reads
-  // (interned into the service dictionary).
-  std::unique_ptr<Relation> own_ie_;
+  // borrow the service's relation and program instead. own_cie_ is the
+  // encoded entity the session engine reads (interned into the service
+  // dictionary).
   std::unique_ptr<ColumnarRelation> own_cie_;
   std::unique_ptr<GroundProgram> own_program_;
 

@@ -62,21 +62,7 @@ ChaseEngine::ChaseEngine(const Relation& ie, const GroundProgram* program,
     owned_dict_ = std::make_unique<Dictionary>();
     dict_ = owned_dict_.get();
   }
-  columns_.resize(num_attrs_);
-  value_groups_.resize(num_attrs_);
-  value_slot_.resize(num_attrs_);
-  for (AttrId a = 0; a < num_attrs_; ++a) {
-    columns_[a].reserve(n_);
-    for (int i = 0; i < n_; ++i) {
-      const TermId id = dict_->Intern(ie.tuple(i).at(a));
-      columns_[a].push_back(id);
-      if (id == kNullTermId) continue;
-      auto [it, inserted] = value_slot_[a].try_emplace(
-          id, static_cast<int32_t>(value_groups_[a].size()));
-      if (inserted) value_groups_[a].emplace_back();
-      value_groups_[a][it->second].push_back(i);
-    }
-  }
+  LoadColumns(ColumnarRelation::FromRelation(ie, dict_));
   BuildIndex(build_pool);
 }
 
@@ -90,6 +76,11 @@ ChaseEngine::ChaseEngine(const ColumnarRelation& ie,
       config_(config),
       n_(ie.size()),
       num_attrs_(ie.schema().size()) {
+  LoadColumns(ie);
+  BuildIndex(build_pool);
+}
+
+void ChaseEngine::LoadColumns(const ColumnarRelation& ie) {
   columns_.resize(num_attrs_);
   value_groups_.resize(num_attrs_);
   value_slot_.resize(num_attrs_);
@@ -105,13 +96,13 @@ ChaseEngine::ChaseEngine(const ColumnarRelation& ie,
       value_groups_[a][it->second].push_back(i);
     }
   }
-  BuildIndex(build_pool);
 }
 
 const Relation& ChaseEngine::ie() const {
   if (ie_ != nullptr) return *ie_;
-  // Columnar engine: the row adapter exists only for consumers that walk
-  // tuples (top-k search-space builders); built once, thread-safely.
+  // Columnar-constructed engine: the row adapter exists only for
+  // consumers that walk tuples (top-k search-space builders); built
+  // once, thread-safely.
   std::call_once(ie_once_, [this] {
     materialized_ie_ = std::make_unique<Relation>(cie_->ToRelation());
   });
@@ -420,7 +411,7 @@ bool ChaseEngine::InitState(RunState* st_ptr, const Tuple& initial_te) const {
         if (columns_[a][i] == kNullTermId) nulls.push_back(i);
       }
       // ϕ9 over non-null duplicates, in first-seen group order (stable
-      // across the row and columnar construction paths).
+      // for any dictionary's id numbering).
       for (const std::vector<int>& indices : value_groups_[a]) {
         for (std::size_t x = 0; x < indices.size() && ok; ++x) {
           for (std::size_t y = x + 1; y < indices.size() && ok; ++y) {
@@ -824,9 +815,10 @@ ChaseOutcome ChaseEngine::RunFromInitial() const {
 }
 
 ChaseOutcome IsCR(const Specification& spec) {
-  const GroundProgram program =
-      Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  Dictionary dict;
+  const ColumnarRelation ie = ColumnarRelation::FromRelation(spec.ie, &dict);
+  const GroundProgram program = Instantiate(ie, spec.masters, spec.rules);
+  ChaseEngine engine(ie, &program, spec.config);
   return engine.RunFromInitial();
 }
 

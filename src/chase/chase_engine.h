@@ -74,17 +74,18 @@ class ChaseEngine {
   /// dictionary so sibling engines — checker worker pools, pipeline
   /// windows, serve sessions — intern each distinct term once and can
   /// share checkpoints (AdoptCheckpointFrom requires a common
-  /// dictionary); with dict == nullptr the engine owns a private one.
-  ChaseEngine(const Relation& ie, const GroundProgram* program,
-              ChaseConfig config, ThreadPool* build_pool = nullptr,
-              Dictionary* dict = nullptr);
-
-  /// Columnar-native construction: chases `ie` without ever holding a
-  /// row copy (the dictionary is ie.mutable_dict()). ie() materializes a
-  /// row adapter lazily for the few consumers that still need tuples
+  /// dictionary). The dictionary is ie.mutable_dict(). ie() materializes
+  /// a row adapter lazily for the few consumers that still need tuples
   /// (the top-k search-space builders); grounding and chasing never do.
   ChaseEngine(const ColumnarRelation& ie, const GroundProgram* program,
               ChaseConfig config, ThreadPool* build_pool = nullptr);
+
+  /// Row-boundary adapter: encodes `ie` into `dict` (a private
+  /// dictionary when null) and builds the same engine as the columnar
+  /// constructor. ie() then returns the caller's relation.
+  ChaseEngine(const Relation& ie, const GroundProgram* program,
+              ChaseConfig config, ThreadPool* build_pool = nullptr,
+              Dictionary* dict = nullptr);
 
   ChaseEngine(const ChaseEngine&) = delete;
   ChaseEngine& operator=(const ChaseEngine&) = delete;
@@ -175,8 +176,8 @@ class ChaseEngine {
   /// rejected with kDataLoss and leave the engine unchanged.
   Status ImportCheckpoint(const ChaseCheckpoint& image);
 
-  /// Row view of Ie. For a row-constructed engine this is the caller's
-  /// relation; for a columnar engine a row adapter is materialized (and
+  /// Row view of Ie. For a Relation-constructed engine this is the
+  /// caller's relation; otherwise a row adapter is materialized (and
   /// cached) on first call — the chase itself never needs it.
   const Relation& ie() const;
   const GroundProgram& program() const { return *program_; }
@@ -263,13 +264,17 @@ class ChaseEngine {
   void EmitOrderEvent(RunState* st, AttrId attr, int i, int j) const;
   void EmitTeEvent(RunState* st, AttrId attr, TermId v) const;
 
-  // Shared body of both constructors (columns/value groups are already
-  // encoded when it runs): watch lists, residual counters, step te ids.
+  // Shared body of both constructors: copies Ie's id columns and groups
+  // each attribute's rows by value (the ϕ8/ϕ9 index).
+  void LoadColumns(const ColumnarRelation& ie);
+
+  // Shared tail of both constructors (runs after LoadColumns): watch
+  // lists, residual counters, step te ids.
   void BuildIndex(ThreadPool* build_pool);
 
   // Encodes te ids back into a boundary Tuple, coercing numeric
-  // representatives to the schema column type so outcomes are
-  // byte-identical to the row path on type-consistent data.
+  // representatives to the schema column type so outcomes carry the
+  // boundary Values of type-consistent data.
   Tuple MaterializeTe(const std::vector<TermId>& te) const;
 
   // dict_->value(id).ToString() with null id -> "" (violation messages).
@@ -283,7 +288,7 @@ class ChaseEngine {
   }
 
   /// Exactly one of ie_/cie_ is set at construction; ie() materializes a
-  /// cached row adapter for columnar engines on demand.
+  /// cached row adapter for columnar-constructed engines on demand.
   const Relation* ie_ = nullptr;
   const ColumnarRelation* cie_ = nullptr;
   mutable std::unique_ptr<Relation> materialized_ie_;
@@ -319,9 +324,9 @@ class ChaseEngine {
   /// Dictionary-encoded column per attribute (orders & the ϕ8 anchor).
   std::vector<std::vector<TermId>> columns_;
   /// Per attribute: groups of tuple indices sharing a non-null value, in
-  /// first-seen row order — deterministic and representation-independent
-  /// (the row and columnar paths emit ϕ9 pairs in the same order) —
-  /// plus an id -> group index for the ϕ8 anchor lookup.
+  /// first-seen row order — deterministic and independent of the TermId
+  /// numbering, so ϕ9 pairs come out in the same order for any
+  /// dictionary — plus an id -> group index for the ϕ8 anchor lookup.
   std::vector<std::vector<std::vector<int>>> value_groups_;
   std::vector<std::unordered_map<TermId, int32_t>> value_slot_;
 

@@ -312,23 +312,16 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   const std::string key = args.GetString("key");
   Result<int64_t> threads = args.GetInt("threads", 0);
   Result<int64_t> window = args.GetInt("window", 0);
-  Result<int64_t> ground_shards = args.GetInt("ground-shards", 0);
   const std::string completion = args.GetString("completion", "best");
-  const std::string storage = args.GetString("storage", "row");
   const std::string snapshot = args.GetString("snapshot");
   const bool as_json = args.Has("json");
   Result<SpecDocument> doc = LoadSpec(args);
   if (!doc.ok()) return doc.status();
   if (!threads.ok()) return threads.status();
   if (!window.ok()) return window.status();
-  if (!ground_shards.ok()) return ground_shards.status();
   if (window.value() < 0) {
     return Status::InvalidArgument(
         "--window must be >= 0 (0 = service default)");
-  }
-  if (ground_shards.value() < 0) {
-    return Status::InvalidArgument(
-        "--ground-shards must be >= 0 (0 = thread budget)");
   }
   CompletionPolicy policy = CompletionPolicy::kBestCandidate;
   if (completion == "heuristic") {
@@ -338,14 +331,6 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   } else if (completion != "best") {
     return Status::InvalidArgument(
         "--completion must be best, heuristic or none");
-  }
-  if (storage != "row" && storage != "columnar") {
-    return Status::InvalidArgument("--storage must be row or columnar");
-  }
-  if (!snapshot.empty() && args.Has("storage") && storage != "columnar") {
-    return Status::InvalidArgument(
-        "--storage row conflicts with --snapshot: the artifact is "
-        "dictionary-encoded");
   }
   const Specification& spec = doc.value().spec;
   const Schema& schema = spec.ie.schema();
@@ -362,7 +347,6 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
   ServiceOptions service_options;
   service_options.num_threads = static_cast<int>(threads.value());
   service_options.completion = policy;
-  service_options.ground_shards = static_cast<int>(ground_shards.value());
   if (window.value() > 0) {
     service_options.window = window.value();
   }
@@ -373,11 +357,6 @@ Status CmdPipeline(const Args& args, std::ostream& out) {
     // dictionary must not seed the service — the artifact restores its
     // own (id stability needs a fresh one).
     service_options.snapshot_path = snapshot;
-  } else if (storage == "columnar") {
-    // Dictionary-encoded storage, seeded with the parse-time dictionary
-    // (SpecDocument::dict) so the service never re-interns the document.
-    service_options.columnar_storage = true;
-    service_options.dictionary = doc.value().dict;
   }
   Result<PipelineReport> finished = StreamResolvedEntities(
       spec, std::move(resolution.entities), std::move(service_options));
@@ -802,7 +781,7 @@ const char* SectionName(snapshot::SectionType type) {
 
 /// `relacc snapshot build <spec.json> --out <file> [--threads N]`:
 /// builds the service exactly as `relacc serve <spec.json>` would
-/// (columnar storage, the document's chase config), chases the all-null
+/// (the document's chase config), chases the all-null
 /// checkpoint once, and serializes the whole thing into one artifact.
 Status CmdSnapshotBuild(const Args& args, std::ostream& out) {
   Result<int64_t> threads = args.GetInt("threads", 0);
@@ -825,7 +804,6 @@ Status CmdSnapshotBuild(const Args& args, std::ostream& out) {
 
   ServiceOptions service_options;
   service_options.num_threads = static_cast<int>(threads.value());
-  service_options.columnar_storage = true;
   service_options.dictionary = doc.value().dict;
   Result<std::unique_ptr<AccuracyService>> service = AccuracyService::Create(
       std::move(doc.value().spec), std::move(service_options));
@@ -1049,8 +1027,8 @@ std::string CliUsage() {
       "            [--json] [--werror]\n"
       "  pipeline  flat relation -> entity resolution -> per-entity targets\n"
       "            --key <attr[,attr...]> [--threads N] [--window N]\n"
-      "            [--ground-shards N] [--completion best|heuristic|none]\n"
-      "            [--storage row|columnar] [--snapshot FILE] [--json]\n"
+      "            [--completion best|heuristic|none] [--snapshot FILE]\n"
+      "            [--json]\n"
       "  interactive  the Fig. 3 user loop on one entity instance\n"
       "            [--k N]\n"
       "  serve     long-lived daemon over a pool of AccuracyService\n"

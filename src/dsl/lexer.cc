@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -41,7 +42,7 @@ const char* TokenKindName(TokenKind kind) {
   return "?";
 }
 
-Lexer::Lexer(const std::string& input) : input_(input) {}
+Lexer::Lexer(std::string input) : input_(std::move(input)) {}
 
 char Lexer::Peek(int ahead) const {
   int p = pos_ + ahead;

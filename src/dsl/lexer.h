@@ -14,9 +14,10 @@ namespace relacc {
 /// lexed raw — `[J#]` and `[closed?]` are single kAttrRef tokens whose text
 /// is everything between the brackets (leading/trailing blanks trimmed), so
 /// attribute names may contain any character except `]` and newline.
+/// The lexer owns a copy of its input, so it may outlive the argument.
 class Lexer {
  public:
-  explicit Lexer(const std::string& input);
+  explicit Lexer(std::string input);
 
   /// Lexes the next token, or a ParseError naming line/column on bad input
   /// (unterminated string, stray character, malformed number).
@@ -39,7 +40,7 @@ class Lexer {
   Result<Token> LexAttrRef(Token token);
   Result<Token> LexIdentOrKeyword(Token token);
 
-  const std::string& input_;
+  std::string input_;
   int pos_ = 0;
   int line_ = 1;
   int column_ = 1;

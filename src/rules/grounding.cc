@@ -10,75 +10,6 @@
 namespace relacc {
 namespace {
 
-/// Grounds one form-(1) rule on the ordered pair (ti, tj). Returns false if
-/// some constant predicate already fails (the step is dropped).
-bool GroundPairRule(const AccuracyRule& rule, const Relation& ie, int i,
-                    int j, GroundStep* out) {
-  const Tuple& t1 = ie.tuple(i);
-  const Tuple& t2 = ie.tuple(j);
-  out->kind = GroundStep::Kind::kAddOrder;
-  out->attr = rule.rhs_attr;
-  out->i = i;
-  out->j = j;
-  out->residual.clear();
-  for (const TuplePairPredicate& p : rule.lhs) {
-    switch (p.kind) {
-      case TuplePairPredicate::Kind::kAttrAttr: {
-        if (!EvalCompare(p.op, t1.at(p.left_attr), t2.at(p.right_attr))) {
-          return false;
-        }
-        break;
-      }
-      case TuplePairPredicate::Kind::kAttrConst: {
-        const Tuple& t = p.which == 1 ? t1 : t2;
-        if (!EvalCompare(p.op, t.at(p.left_attr), p.constant)) return false;
-        break;
-      }
-      case TuplePairPredicate::Kind::kAttrTe: {
-        // ti[a] op te[b]  ==>  te[b] op' c with c = ti[a].
-        const Tuple& t = p.which == 1 ? t1 : t2;
-        const Value& c = t.at(p.left_attr);
-        const CompareOp flipped = FlipCompareOp(p.op);
-        // te values are non-null once set, so te = null is unsatisfiable
-        // and te-order-compare against null is always false.
-        if (c.is_null() && flipped != CompareOp::kNe) return false;
-        GroundPredicate g;
-        g.kind = GroundPredicate::Kind::kTeCompare;
-        g.attr = p.right_attr;
-        g.op = flipped;
-        g.constant = c;
-        out->residual.push_back(std::move(g));
-        break;
-      }
-      case TuplePairPredicate::Kind::kTeConst: {
-        if (p.constant.is_null() && p.op != CompareOp::kNe) return false;
-        GroundPredicate g;
-        g.kind = GroundPredicate::Kind::kTeCompare;
-        g.attr = p.left_attr;
-        g.op = p.op;
-        g.constant = p.constant;
-        out->residual.push_back(std::move(g));
-        break;
-      }
-      case TuplePairPredicate::Kind::kOrder: {
-        // t1 ≺_a t2 requires differing values; resolved now since tuple
-        // values are constants.
-        if (p.strict && t1.at(p.left_attr) == t2.at(p.left_attr)) {
-          return false;
-        }
-        GroundPredicate g;
-        g.kind = GroundPredicate::Kind::kOrderPair;
-        g.attr = p.left_attr;
-        g.i = i;
-        g.j = j;
-        out->residual.push_back(std::move(g));
-        break;
-      }
-    }
-  }
-  return true;
-}
-
 /// Grounds one form-(2) rule on master tuple tm, emitting one kSetTe step
 /// per assignment with a non-null source value.
 void GroundMasterRule(const AccuracyRule& rule, const Tuple& tm, int rule_id,
@@ -149,40 +80,11 @@ std::vector<int64_t> RowStarts(int num_ie_rows,
   return starts;
 }
 
-/// Grounds global rows [begin, end) in row order, appending to `out`.
-/// Emission order within a row (the inner j loop / the assignment list)
-/// is the serial order, so concatenating contiguous ranges in ascending
-/// row order reproduces the serial program exactly.
-void GroundRows(const Relation& ie, const std::vector<Relation>& masters,
-                const std::vector<AccuracyRule>& rules,
-                const std::vector<int64_t>& starts, int64_t begin,
-                int64_t end, std::vector<GroundStep>* out) {
-  const int n = ie.size();
-  GroundStep scratch;
-  for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
-    const int64_t lo = std::max(begin, starts[r]);
-    const int64_t hi = std::min(end, starts[r + 1]);
-    if (lo >= hi) continue;
-    const AccuracyRule& rule = rules[r];
-    if (rule.form == AccuracyRule::Form::kTuplePair) {
-      for (int64_t row = lo; row < hi; ++row) {
-        const int i = static_cast<int>(row - starts[r]);
-        for (int j = 0; j < n; ++j) {
-          if (i == j) continue;
-          if (GroundPairRule(rule, ie, i, j, &scratch)) {
-            scratch.rule_id = r;
-            out->push_back(scratch);
-          }
-        }
-      }
-    } else {
-      const Relation& im = masters[rule.master_index];
-      for (int64_t row = lo; row < hi; ++row) {
-        GroundMasterRule(rule, im.tuple(static_cast<int>(row - starts[r])),
-                         r, out);
-      }
-    }
-  }
+std::vector<std::string> RuleNames(const std::vector<AccuracyRule>& rules) {
+  std::vector<std::string> names;
+  names.reserve(rules.size());
+  for (const AccuracyRule& rule : rules) names.push_back(rule.name);
+  return names;
 }
 
 /// Pre-interns every kAttrConst constant of every rule so the columnar
@@ -205,16 +107,16 @@ std::vector<std::vector<TermId>> InternRuleConstants(
   return ids;
 }
 
-/// Columnar twin of GroundPairRule. Equality operators are decided on
-/// TermIds (id equality == Value::operator== equality by the interning
-/// contract, nulls included: all nulls share kNullTermId); order
-/// operators fall back to the dictionary representatives, whose
-/// cross-type numeric Compare agrees with the schema-typed row values.
-/// `const_ids[k]` pre-resolves the k-th conjunct's kAttrConst constant.
-bool GroundPairRuleColumnar(const AccuracyRule& rule,
-                            const std::vector<TermId>& const_ids,
-                            const ColumnarRelation& ie, int i, int j,
-                            GroundStep* out) {
+/// Grounds one form-(1) rule on the ordered pair (ti, tj). Returns false
+/// if some constant predicate already fails (the step is dropped).
+/// Equality operators are decided on TermIds (id equality ==
+/// Value::operator== equality by the interning contract, nulls included:
+/// all nulls share kNullTermId); order operators fall back to the
+/// dictionary representatives, whose cross-type numeric Compare agrees
+/// with the schema-typed values. `const_ids[k]` pre-resolves the k-th
+/// conjunct's kAttrConst constant.
+bool GroundPair(const AccuracyRule& rule, const std::vector<TermId>& const_ids,
+                const ColumnarRelation& ie, int i, int j, GroundStep* out) {
   const Dictionary& dict = ie.dict();
   out->kind = GroundStep::Kind::kAddOrder;
   out->attr = rule.rhs_attr;
@@ -250,8 +152,10 @@ bool GroundPairRuleColumnar(const AccuracyRule& rule,
       }
       case TuplePairPredicate::Kind::kAttrTe: {
         // ti[a] op te[b]  ==>  te[b] op' c with c = ti[a], materialized
-        // with the schema column type so the residual constant is
-        // byte-identical to the row path's.
+        // with the schema column type so the residual constant is the
+        // boundary Value of the cell. te values are non-null once set,
+        // so te = null is unsatisfiable and te-order-compare against
+        // null is always false.
         const int row = p.which == 1 ? i : j;
         const TermId vid = ie.id_at(row, p.left_attr);
         const CompareOp flipped = FlipCompareOp(p.op);
@@ -275,6 +179,8 @@ bool GroundPairRuleColumnar(const AccuracyRule& rule,
         break;
       }
       case TuplePairPredicate::Kind::kOrder: {
+        // t1 ≺_a t2 requires differing values; resolved now since tuple
+        // values are constants.
         if (p.strict &&
             ie.id_at(i, p.left_attr) == ie.id_at(j, p.left_attr)) {
           return false;
@@ -292,15 +198,17 @@ bool GroundPairRuleColumnar(const AccuracyRule& rule,
   return true;
 }
 
-/// Columnar twin of GroundRows — identical loop structure and emission
-/// order; masters stay row relations (they are small and master steps
-/// carry Values regardless).
-void GroundRowsColumnar(const ColumnarRelation& ie,
-                        const std::vector<Relation>& masters,
-                        const std::vector<AccuracyRule>& rules,
-                        const std::vector<std::vector<TermId>>& const_ids,
-                        const std::vector<int64_t>& starts, int64_t begin,
-                        int64_t end, std::vector<GroundStep>* out) {
+/// Grounds global rows [begin, end) in row order, appending to `out`.
+/// Emission order within a row (the inner j loop / the assignment list)
+/// is the serial order, so concatenating contiguous ranges in ascending
+/// row order reproduces the serial program exactly. Masters stay row
+/// relations (they are small and master steps carry Values regardless).
+void GroundRange(const ColumnarRelation& ie,
+                 const std::vector<Relation>& masters,
+                 const std::vector<AccuracyRule>& rules,
+                 const std::vector<std::vector<TermId>>& const_ids,
+                 const std::vector<int64_t>& starts, int64_t begin,
+                 int64_t end, std::vector<GroundStep>* out) {
   const int n = ie.size();
   GroundStep scratch;
   for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
@@ -313,8 +221,7 @@ void GroundRowsColumnar(const ColumnarRelation& ie,
         const int i = static_cast<int>(row - starts[r]);
         for (int j = 0; j < n; ++j) {
           if (i == j) continue;
-          if (GroundPairRuleColumnar(rule, const_ids[r], ie, i, j,
-                                     &scratch)) {
+          if (GroundPair(rule, const_ids[r], ie, i, j, &scratch)) {
             scratch.rule_id = r;
             out->push_back(scratch);
           }
@@ -348,39 +255,31 @@ bool operator==(const GroundProgram& a, const GroundProgram& b) {
          a.rule_names == b.rule_names && a.steps == b.steps;
 }
 
-namespace {
-
-std::vector<std::string> RuleNames(const std::vector<AccuracyRule>& rules) {
-  std::vector<std::string> names;
-  names.reserve(rules.size());
-  for (const AccuracyRule& rule : rules) names.push_back(rule.name);
-  return names;
-}
-
-}  // namespace
-
-GroundProgram Instantiate(const Relation& ie,
+GroundProgram Instantiate(const ColumnarRelation& ie,
                           const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules) {
+                          const std::vector<AccuracyRule>& rules,
+                          int num_shards, ThreadPool* pool) {
   GroundProgram prog;
   prog.num_tuples = ie.size();
   prog.num_attrs = ie.schema().size();
   prog.rule_names = RuleNames(rules);
+  // Constants are interned before any fan-out; shard workers only read
+  // the dictionary (lock-free shelf loads) on order comparisons.
+  const std::vector<std::vector<TermId>> const_ids =
+      InternRuleConstants(rules, ie.mutable_dict());
   const std::vector<int64_t> starts = RowStarts(ie.size(), masters, rules);
-  GroundRows(ie, masters, rules, starts, 0, starts.back(), &prog.steps);
-  return prog;
-}
+  const int64_t rows = starts.back();
+  // Below ~2 rows per shard the fan-out costs more than the grounding;
+  // the serial loop is also the reference the sharded one must match.
+  const int64_t shards =
+      std::min<int64_t>(std::max(1, num_shards), std::max<int64_t>(1, rows));
+  if (shards <= 1) {
+    GroundRange(ie, masters, rules, const_ids, starts, 0, rows, &prog.steps);
+    return prog;
+  }
 
-namespace {
-
-/// Shard/merge skeleton shared by the row and columnar sharded paths:
-/// `ground(begin, end, out)` grounds a contiguous global-row range into a
-/// private list; the merge concatenates in shard order, which is the
-/// serial emission order. Returns the merged steps.
-template <typename GroundRange>
-std::vector<GroundStep> GroundSharded(int64_t rows, int64_t shards,
-                                      ThreadPool* pool,
-                                      const GroundRange& ground) {
+  // Each shard grounds a contiguous global-row range into a private
+  // list; concatenating the lists in shard order is the serial order.
   std::vector<std::vector<GroundStep>> parts(
       static_cast<std::size_t>(shards));
   const int64_t chunk = (rows + shards - 1) / shards;
@@ -388,7 +287,8 @@ std::vector<GroundStep> GroundSharded(int64_t rows, int64_t shards,
     const int64_t begin = s * chunk;
     const int64_t end = std::min(begin + chunk, rows);
     if (begin < end) {
-      ground(begin, end, &parts[static_cast<std::size_t>(s)]);
+      GroundRange(ie, masters, rules, const_ids, starts, begin, end,
+                  &parts[static_cast<std::size_t>(s)]);
     }
   };
   if (pool != nullptr) {
@@ -402,85 +302,27 @@ std::vector<GroundStep> GroundSharded(int64_t rows, int64_t shards,
         std::max(1u, std::thread::hardware_concurrency()))));
     local.ParallelFor(shards, ground_shard);
   }
-
-  std::vector<GroundStep> steps;
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
-  steps.reserve(total);
-  // Deterministic merge: shard order == ascending row order == the
-  // serial emission order.
+  prog.steps.reserve(total);
   for (auto& part : parts) {
-    for (GroundStep& step : part) steps.push_back(std::move(step));
+    for (GroundStep& step : part) prog.steps.push_back(std::move(step));
   }
-  return steps;
-}
-
-}  // namespace
-
-GroundProgram Instantiate(const Relation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool) {
-  const std::vector<int64_t> starts = RowStarts(ie.size(), masters, rules);
-  const int64_t rows = starts.back();
-  // Below ~2 rows per shard the fan-out costs more than the grounding;
-  // the serial path is also the reference the sharded one must match.
-  const int64_t shards =
-      std::min<int64_t>(std::max(1, num_shards), std::max<int64_t>(1, rows));
-  if (shards <= 1) return Instantiate(ie, masters, rules);
-
-  GroundProgram prog;
-  prog.num_tuples = ie.size();
-  prog.num_attrs = ie.schema().size();
-  prog.rule_names = RuleNames(rules);
-  prog.steps = GroundSharded(
-      rows, shards, pool,
-      [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
-        GroundRows(ie, masters, rules, starts, begin, end, out);
-      });
   return prog;
 }
 
 GroundProgram Instantiate(const ColumnarRelation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules) {
-  GroundProgram prog;
-  prog.num_tuples = ie.size();
-  prog.num_attrs = ie.schema().size();
-  prog.rule_names = RuleNames(rules);
-  const std::vector<std::vector<TermId>> const_ids =
-      InternRuleConstants(rules, ie.mutable_dict());
-  const std::vector<int64_t> starts = RowStarts(ie.size(), masters, rules);
-  GroundRowsColumnar(ie, masters, rules, const_ids, starts, 0, starts.back(),
-                     &prog.steps);
-  return prog;
+  return Instantiate(ie, masters, rules, /*num_shards=*/1);
 }
 
-GroundProgram Instantiate(const ColumnarRelation& ie,
+GroundProgram Instantiate(const Relation& ie,
                           const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool) {
-  const std::vector<int64_t> starts = RowStarts(ie.size(), masters, rules);
-  const int64_t rows = starts.back();
-  const int64_t shards =
-      std::min<int64_t>(std::max(1, num_shards), std::max<int64_t>(1, rows));
-  if (shards <= 1) return Instantiate(ie, masters, rules);
-
-  GroundProgram prog;
-  prog.num_tuples = ie.size();
-  prog.num_attrs = ie.schema().size();
-  prog.rule_names = RuleNames(rules);
-  // Constants are interned before the fan-out; shard workers only read
-  // the dictionary (lock-free shelf loads) on order comparisons.
-  const std::vector<std::vector<TermId>> const_ids =
-      InternRuleConstants(rules, ie.mutable_dict());
-  prog.steps = GroundSharded(
-      rows, shards, pool,
-      [&](int64_t begin, int64_t end, std::vector<GroundStep>* out) {
-        GroundRowsColumnar(ie, masters, rules, const_ids, starts, begin, end,
-                           out);
-      });
-  return prog;
+                          const std::vector<AccuracyRule>& rules) {
+  Dictionary dict;
+  return Instantiate(ColumnarRelation::FromRelation(ie, &dict), masters,
+                     rules);
 }
 
 }  // namespace relacc

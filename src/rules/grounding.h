@@ -79,7 +79,17 @@ inline bool operator!=(const GroundProgram& a, const GroundProgram& b) {
 /// every rule against every ordered tuple pair of `ie` (form 1) / every
 /// master tuple (form 2). Steps whose LHS is already false are dropped.
 /// Runs in O(|Σ|·(|Ie|² + |Im|)) time.
-GroundProgram Instantiate(const Relation& ie,
+///
+/// Ie is read dictionary-encoded: every constant conjunct whose operator
+/// is an equality is decided by TermId comparison (id equality == value
+/// equality by the interning contract, nulls included); order
+/// comparisons fall back to the dictionary values. Residual constants
+/// lifted out of tuples (kAttrTe) are materialized with the schema
+/// column type, so they are the cells' boundary Values. Rule constants
+/// are pre-interned into ie's dictionary, serially, before any fan-out.
+/// Steps are emitted rule by rule, then by ti, then by tj (or tm), which
+/// is the order of the reference nested loops in tests/oracle/.
+GroundProgram Instantiate(const ColumnarRelation& ie,
                           const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules);
 
@@ -90,41 +100,24 @@ GroundProgram Instantiate(const Relation& ie,
 /// Each shard grounds its rows into a private step list; the merge
 /// concatenates the lists in shard order, which reproduces the serial
 /// emission order exactly, so the returned GroundProgram is
-/// step-for-step identical to Instantiate(ie, masters, rules) for every
-/// shard count (operator== above; enforced by tests and by
-/// bench/pipeline_scaling's ground_scaling rows).
+/// step-for-step identical (operator== above) to the serial overload for
+/// every shard count (enforced by tests and by bench/pipeline_scaling's
+/// ground_scaling rows).
 ///
 /// `num_shards <= 1` (or a trivially small row space) runs the serial
-/// path. Shards run on `pool` when given — only idle-at-call-site pools
+/// loop. Shards run on `pool` when given — only idle-at-call-site pools
 /// may be passed, e.g. the service's chase pool between phases — or on a
 /// transient pool of min(num_shards, rows) threads when null.
+GroundProgram Instantiate(const ColumnarRelation& ie,
+                          const std::vector<Relation>& masters,
+                          const std::vector<AccuracyRule>& rules,
+                          int num_shards, ThreadPool* pool = nullptr);
+
+/// Row-boundary adapter: encodes `ie` into a call-local dictionary and
+/// runs the serial overload above. For callers that hold a Relation.
 GroundProgram Instantiate(const Relation& ie,
                           const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool = nullptr);
-
-/// Columnar Instantiation: the same Γ, built from dictionary-encoded
-/// columns. Every constant conjunct whose operator is an equality is
-/// decided by TermId comparison (id equality == value equality by the
-/// interning contract, nulls included); order comparisons fall back to
-/// the dictionary values, whose cross-type numeric Compare agrees with
-/// the schema-typed row values. Residual constants lifted out of tuples
-/// (kAttrTe) are materialized with the schema column type, so the
-/// emitted program is step-for-step identical (operator== above) to
-/// Instantiate(ie.ToRelation(), masters, rules) — enforced by tests.
-/// Rule constants are pre-interned into ie's dictionary, serially,
-/// before any fan-out.
-GroundProgram Instantiate(const ColumnarRelation& ie,
-                          const std::vector<Relation>& masters,
                           const std::vector<AccuracyRule>& rules);
-
-/// Sharded columnar Instantiation; shard/merge discipline (and the
-/// resulting step-order determinism across shard counts) is exactly the
-/// row overload's.
-GroundProgram Instantiate(const ColumnarRelation& ie,
-                          const std::vector<Relation>& masters,
-                          const std::vector<AccuracyRule>& rules,
-                          int num_shards, ThreadPool* pool = nullptr);
 
 }  // namespace relacc
 

@@ -350,23 +350,14 @@ TEST(AccuracyServiceTest, CreateValidatesWindow) {
 }
 
 TEST(AccuracyServiceTest, GroundShardsDoNotChangeAnyOutcome) {
-  // ground_shards only changes how Γ is built, never what it contains:
-  // deduction and ranking must be identical for every shard count (and
-  // a negative count is rejected at Create).
-  Result<std::unique_ptr<AccuracyService>> bad =
-      AccuracyService::Create(MjSpecification(), [] {
-        ServiceOptions options;
-        options.ground_shards = -2;
-        return options;
-      }());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
+  // The service grounds its own entity in as many shards as its thread
+  // budget. Sharding only changes how Γ is built, never what it
+  // contains: deduction and ranking must be identical for every budget.
   std::optional<Tuple> reference_target;
   std::optional<std::vector<Tuple>> reference_candidates;
-  for (const int shards : {1, 4, 0}) {
+  for (const int shards : {1, 4}) {
     ServiceOptions options;
-    options.num_threads = 4;
-    options.ground_shards = shards;
+    options.num_threads = shards;
     auto service = MakeService(ArenaOpenMjSpec(), std::move(options));
     Result<ChaseOutcome> outcome = service->DeduceEntity();
     ASSERT_TRUE(outcome.ok()) << shards;

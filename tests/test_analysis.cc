@@ -21,6 +21,7 @@
 #include "io/spec_io.h"
 #include "mj_fixture.h"
 #include "rules/rule_builder.h"
+#include "temp_path.h"
 
 namespace relacc {
 namespace {
@@ -162,7 +163,7 @@ TEST(Lint, ExitCodeContract) {
             2);
   // I/O and document-level failures.
   EXPECT_EQ(Lint({"lint", "/nonexistent/spec.json"}).exit_code, 1);
-  const std::string broken = ::testing::TempDir() + "/relacc_broken.json";
+  const std::string broken = testing_fixture::TempPath("broken.json");
   ASSERT_TRUE(WriteFile(broken, "{ not json").ok());
   EXPECT_EQ(Lint({"lint", broken}).exit_code, 1);
   // Warnings only fail under --werror.

@@ -20,6 +20,7 @@
 #include "mj_fixture.h"
 #include "rules/cfd.h"
 #include "service_fixture.h"
+#include "temp_path.h"
 #include "topk/batch_check.h"
 #include "topk/rank_join_ct.h"
 #include "topk/topk_ct.h"
@@ -229,7 +230,7 @@ TEST(TopKDeterminism, CliTopKOutputIsByteIdenticalAcrossThreadCounts) {
   doc.entity_name = "stat";
   doc.master_names = {"nba"};
   const std::string path =
-      ::testing::TempDir() + "/relacc_batch_check_spec.json";
+      testing_fixture::TempPath("batch_check_spec.json");
   ASSERT_TRUE(WriteFile(path, SpecToJson(doc).Dump(2)).ok());
 
   for (const char* algo : {"topkct", "heuristic", "rankjoin", "brute"}) {

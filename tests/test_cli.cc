@@ -11,6 +11,7 @@
 #include "io/spec_io.h"
 #include "mj_fixture.h"
 #include "serve/socket.h"
+#include "temp_path.h"
 
 namespace relacc {
 namespace {
@@ -69,7 +70,7 @@ class CliTest : public ::testing::Test {
     doc.spec = MjSpecification();
     doc.entity_name = "stat";
     doc.master_names = {"nba"};
-    path_ = ::testing::TempDir() + "/relacc_cli_spec.json";
+    path_ = testing_fixture::TempPath("cli_spec.json");
     ASSERT_TRUE(WriteFile(path_, SpecToJson(doc).Dump(2)).ok());
   }
 
@@ -110,7 +111,7 @@ TEST_F(CliTest, CheckNonChurchRosserExitCode) {
   doc.spec.rules.push_back(Phi12(doc.spec.ie.schema()));
   doc.entity_name = "stat";
   doc.master_names = {"nba"};
-  std::string bad = ::testing::TempDir() + "/relacc_cli_bad.json";
+  std::string bad = testing_fixture::TempPath("cli_bad.json");
   ASSERT_TRUE(WriteFile(bad, SpecToJson(doc).Dump(2)).ok());
   int rc = Run({"check", bad});
   EXPECT_EQ(rc, 3);
@@ -148,7 +149,7 @@ TEST_F(CliTest, TopKRanksCandidatesOnIncompleteSpec) {
   doc.spec.rules = std::move(rules);
   doc.entity_name = "stat";
   doc.master_names = {"nba"};
-  std::string inc = ::testing::TempDir() + "/relacc_cli_inc.json";
+  std::string inc = testing_fixture::TempPath("cli_inc.json");
   ASSERT_TRUE(WriteFile(inc, SpecToJson(doc).Dump(2)).ok());
 
   int rc = Run({"topk", inc, "--k", "2", "--json"});
@@ -182,7 +183,7 @@ TEST_F(CliTest, FmtFullDocumentIsAFixpoint) {
   EXPECT_EQ(rc, 0) << err_.str();
   std::string first = out_.str();
   // Feeding the formatted doc back through fmt changes nothing.
-  std::string tmp = ::testing::TempDir() + "/relacc_cli_fmt.json";
+  std::string tmp = testing_fixture::TempPath("cli_fmt.json");
   ASSERT_TRUE(WriteFile(tmp, first).ok());
   int rc2 = Run({"fmt", tmp});
   EXPECT_EQ(rc2, 0);
@@ -204,7 +205,7 @@ TEST_F(CliTest, PipelineOverFlatRelation) {
                  ["blue ribbon diner", "New York"]]
     }
   })json";
-  std::string flat = ::testing::TempDir() + "/relacc_cli_flat.json";
+  std::string flat = testing_fixture::TempPath("cli_flat.json");
   ASSERT_TRUE(WriteFile(flat, text).ok());
   int rc = Run({"pipeline", flat, "--key", "name", "--json"});
   EXPECT_EQ(rc, 0) << err_.str();
@@ -227,7 +228,7 @@ TEST_F(CliTest, PipelineHonoursSpecChaseConfig) {
   doc.spec.config.max_actions = 1;  // far below what any chase needs
   doc.entity_name = "stat";
   doc.master_names = {"nba"};
-  std::string limited = ::testing::TempDir() + "/relacc_cli_limited.json";
+  std::string limited = testing_fixture::TempPath("cli_limited.json");
   ASSERT_TRUE(WriteFile(limited, SpecToJson(doc).Dump(2)).ok());
   int rc = Run({"pipeline", limited, "--key", "league", "--json"});
   EXPECT_EQ(rc, 0) << err_.str();
@@ -285,7 +286,7 @@ TEST_F(CliTest, GenValidatesFlags) {
 }
 
 TEST_F(CliTest, GenWritesToFile) {
-  const std::string path = ::testing::TempDir() + "/relacc_gen_out.json";
+  const std::string path = testing_fixture::TempPath("gen_out.json");
   int rc = Run({"gen", "--entities", "5", "--out", path});
   EXPECT_EQ(rc, 0) << err_.str();
   Result<std::string> text = ReadFile(path);

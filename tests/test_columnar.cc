@@ -1,12 +1,9 @@
 // Tests for the dictionary-encoded storage layer (core/dictionary.h,
-// core/columnar.h) and its end-to-end identity guarantees: TermId
-// equality must coincide with Value equality (including the numeric
-// cross-type classes), FromRelation/ToRelation must round-trip exactly,
-// columnar grounding must produce the row program step for step, and
-// the service's columnar mode must reproduce the row pipeline/top-k
-// reports byte for byte across check strategies and thread budgets.
+// core/columnar.h): TermId equality must coincide with Value equality
+// (including the numeric cross-type classes), FromRelation/ToRelation
+// must round-trip exactly, and grounding over the encoded columns must
+// produce the reference program (tests/oracle/) step for step.
 
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +14,7 @@
 #include "core/columnar.h"
 #include "core/dictionary.h"
 #include "datagen/profile_generator.h"
+#include "oracle/reference_grounding.h"
 #include "rules/grounding.h"
 
 namespace relacc {
@@ -48,32 +46,6 @@ std::unique_ptr<AccuracyService> MakeService(Specification spec,
       AccuracyService::Create(std::move(spec), std::move(options));
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return std::move(service).value();
-}
-
-/// Every observable field of a PipelineReport — "byte identical" means
-/// these strings match.
-std::string Serialize(const PipelineReport& r) {
-  std::ostringstream os;
-  for (const EntityReport& e : r.entities) {
-    os << e.entity_id << '|' << e.num_tuples << '|' << e.church_rosser
-       << '|' << e.complete << '|' << e.used_candidate << '|'
-       << e.deduced_attrs << '|' << e.target.ToString() << '|'
-       << e.violation << '\n';
-  }
-  os << r.targets.ToCsv();
-  os << r.total_tuples << ' ' << r.num_church_rosser << ' '
-     << r.num_complete_by_chase << ' ' << r.num_completed_by_candidates
-     << ' ' << r.num_incomplete << ' ' << r.deduced_attr_fraction;
-  return os.str();
-}
-
-std::string Serialize(const TopKResult& r) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < r.targets.size(); ++i) {
-    os << r.targets[i].ToString() << '@' << r.scores[i] << '\n';
-  }
-  os << r.checks << ' ' << r.heap_pops;
-  return os.str();
 }
 
 // --- dictionary ------------------------------------------------------------
@@ -210,7 +182,8 @@ TEST(ColumnarGrounding, ProgramIdenticalToRowSerialAndSharded) {
   const EntityDataset ds = SmallMed(/*seed=*/11, /*entities=*/8);
   Dictionary dict;
   for (const EntityInstance& e : ds.entities) {
-    const GroundProgram reference = Instantiate(e, ds.masters, ds.rules);
+    const GroundProgram reference =
+        oracle::ReferenceInstantiate(e, ds.masters, ds.rules);
     const ColumnarRelation col = ColumnarRelation::FromRelation(e, &dict);
     const GroundProgram serial = Instantiate(col, ds.masters, ds.rules);
     EXPECT_TRUE(serial == reference);
@@ -220,73 +193,7 @@ TEST(ColumnarGrounding, ProgramIdenticalToRowSerialAndSharded) {
   }
 }
 
-// --- service columnar mode -------------------------------------------------
-
-TEST(ColumnarService, PipelineReportsByteIdenticalToRow) {
-  const EntityDataset ds = SmallMed();
-  for (const CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    for (const int budget : {1, 4}) {
-      std::string reports[2];
-      for (const bool columnar : {false, true}) {
-        ServiceOptions options;
-        options.num_threads = budget;
-        options.window = 5;
-        options.columnar_storage = columnar;
-        auto service = MakeService(
-            SpecOf(ds, strategy, Relation(ds.schema)), options);
-        Result<std::unique_ptr<PipelineSession>> session =
-            service->StartPipeline();
-        ASSERT_TRUE(session.ok()) << session.status().ToString();
-        for (std::size_t begin = 0; begin < ds.entities.size(); begin += 7) {
-          const std::size_t end =
-              std::min(ds.entities.size(), begin + 7);
-          ASSERT_TRUE(session.value()
-                          ->Submit({ds.entities.begin() + begin,
-                                    ds.entities.begin() + end})
-                          .ok());
-        }
-        Result<PipelineReport> report = session.value()->Finish();
-        ASSERT_TRUE(report.ok()) << report.status().ToString();
-        reports[columnar ? 1 : 0] = Serialize(report.value());
-      }
-      EXPECT_EQ(reports[1], reports[0])
-          << CheckStrategyName(strategy) << " budget " << budget;
-    }
-  }
-}
-
-TEST(ColumnarService, TopKAndDeduceByteIdenticalToRow) {
-  // Fully corrupted free attributes keep the deduced target incomplete,
-  // so TopK genuinely searches candidates through the checker.
-  const EntityDataset ds = SmallMed(/*seed=*/17, /*entities=*/6,
-                                    /*corruption=*/1.0);
-  for (const CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    for (const int budget : {1, 4}) {
-      std::string deduced[2];
-      std::string topk[2];
-      for (const bool columnar : {false, true}) {
-        ServiceOptions options;
-        options.num_threads = budget;
-        options.columnar_storage = columnar;
-        auto service =
-            MakeService(SpecOf(ds, strategy, ds.entities[0]), options);
-        Result<ChaseOutcome> outcome = service->DeduceEntity();
-        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-        ASSERT_TRUE(outcome.value().church_rosser);
-        deduced[columnar ? 1 : 0] = outcome.value().target.ToString();
-        Result<TopKResult> result = service->TopK(5);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        topk[columnar ? 1 : 0] = Serialize(result.value());
-      }
-      EXPECT_EQ(deduced[1], deduced[0])
-          << CheckStrategyName(strategy) << " budget " << budget;
-      EXPECT_EQ(topk[1], topk[0])
-          << CheckStrategyName(strategy) << " budget " << budget;
-    }
-  }
-}
+// --- service dictionary ---------------------------------------------------
 
 TEST(ColumnarService, SpecDocumentDictionaryIsShared) {
   // The service accepts a caller-provided dictionary (as the CLI passes
@@ -295,7 +202,6 @@ TEST(ColumnarService, SpecDocumentDictionaryIsShared) {
   auto dict = std::make_shared<Dictionary>();
   const std::size_t before = dict->size();
   ServiceOptions options;
-  options.columnar_storage = true;
   options.dictionary = dict;
   auto service = MakeService(SpecOf(ds, CheckStrategy::kTrail, ds.entities[0]),
                              options);

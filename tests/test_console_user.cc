@@ -9,6 +9,7 @@
 #include "cli/console_user.h"
 #include "io/spec_io.h"
 #include "mj_fixture.h"
+#include "temp_path.h"
 
 namespace relacc {
 namespace {
@@ -108,7 +109,7 @@ TEST_F(ConsoleUserTest, UnknownVerbReprompts) {
 class InteractiveCliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/relacc_interactive_spec.json";
+    path_ = testing_fixture::TempPath("interactive_spec.json");
     ASSERT_TRUE(
         WriteFile(path_, SpecToJson(IncompleteMjDocument()).Dump(2)).ok());
   }
@@ -185,7 +186,7 @@ TEST(DiscoverCliTest, MinesCurrencyShapedRulesFromVersionedData) {
   ASSERT_TRUE(seed2.ok());
   doc.spec.rules.push_back(seed2.value());
 
-  std::string path = ::testing::TempDir() + "/relacc_discover.json";
+  std::string path = testing_fixture::TempPath("discover.json");
   ASSERT_TRUE(WriteFile(path, SpecToJson(doc).Dump(2)).ok());
 
   Result<Args> args = Args::Parse({"discover", path, "--key", "key",

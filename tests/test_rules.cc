@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "chase/chase_engine.h"
+#include "core/columnar.h"
 #include "datagen/profile_generator.h"
 #include "mj_fixture.h"
+#include "oracle/reference_grounding.h"
 #include "rules/axioms.h"
 #include "rules/cfd.h"
 #include "rules/grounding.h"
@@ -198,21 +200,26 @@ TEST(Cfd, ViolatingCandidateFailsCheck) {
 }
 
 TEST(Grounding, ShardedInstantiateIsStepForStepIdentical) {
-  // The sharded-grounding determinism contract: shard counts {1, 4, hw}
-  // (and a couple of adversarial ones) must produce the very same
-  // GroundProgram, step by step, with and without a caller-supplied
-  // pool. A med-profile entity plus masters covers both rule forms and
-  // pruned steps.
+  // The grounding contract: the serial Instantiate and every shard count
+  // {1, 4, hw} (and a couple of adversarial ones), with and without a
+  // caller-supplied pool, must produce the reference nested-loop program
+  // of tests/oracle/, step by step. A med-profile entity plus masters
+  // covers both rule forms and pruned steps.
   ProfileConfig config = MedConfig(/*seed=*/21);
   config.num_entities = 1;
   config.min_tuples = 24;
   config.max_tuples = 24;
   config.master_size = 40;
   const EntityDataset ds = GenerateProfile(config);
-  const Relation& ie = ds.entities[0];
+  Dictionary dict;
+  const ColumnarRelation ie =
+      ColumnarRelation::FromRelation(ds.entities[0], &dict);
 
-  const GroundProgram serial = Instantiate(ie, ds.masters, ds.rules);
-  ASSERT_FALSE(serial.steps.empty());
+  const GroundProgram reference =
+      oracle::ReferenceInstantiate(ds.entities[0], ds.masters, ds.rules);
+  ASSERT_FALSE(reference.steps.empty());
+  EXPECT_TRUE(Instantiate(ie, ds.masters, ds.rules) == reference);
+  EXPECT_TRUE(Instantiate(ds.entities[0], ds.masters, ds.rules) == reference);
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
   ThreadPool pool(4);
@@ -220,13 +227,13 @@ TEST(Grounding, ShardedInstantiateIsStepForStepIdentical) {
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
       const GroundProgram sharded =
           Instantiate(ie, ds.masters, ds.rules, shards, p);
-      ASSERT_EQ(sharded.steps.size(), serial.steps.size())
+      ASSERT_EQ(sharded.steps.size(), reference.steps.size())
           << shards << " shards";
-      for (std::size_t s = 0; s < serial.steps.size(); ++s) {
-        ASSERT_TRUE(sharded.steps[s] == serial.steps[s])
+      for (std::size_t s = 0; s < reference.steps.size(); ++s) {
+        ASSERT_TRUE(sharded.steps[s] == reference.steps[s])
             << shards << " shards, step " << s;
       }
-      EXPECT_TRUE(sharded == serial) << shards << " shards";
+      EXPECT_TRUE(sharded == reference) << shards << " shards";
     }
   }
 }

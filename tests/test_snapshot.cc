@@ -22,6 +22,7 @@
 #include "snapshot/format.h"
 #include "snapshot/memo_cache.h"
 #include "snapshot/reader.h"
+#include "temp_path.h"
 
 namespace relacc {
 namespace {
@@ -58,7 +59,6 @@ std::unique_ptr<AccuracyService> MakeService(Specification spec,
 std::unique_ptr<AccuracyService> ColdService(const EntityDataset& ds,
                                              Relation ie) {
   ServiceOptions options;
-  options.columnar_storage = true;
   options.num_threads = 2;
   return MakeService(SpecOf(ds, std::move(ie)), std::move(options));
 }
@@ -69,7 +69,7 @@ std::string WriteArtifact(const EntityDataset& ds, Relation ie,
                           const std::string& tag) {
   std::unique_ptr<AccuracyService> service = ColdService(ds, std::move(ie));
   const std::string path =
-      ::testing::TempDir() + "/relacc_snapshot_" + tag + ".snap";
+      testing_fixture::TempPath("snapshot_" + tag + ".snap");
   const Status written = service->WriteSnapshot(path);
   EXPECT_TRUE(written.ok()) << written.ToString();
   return path;
@@ -238,7 +238,7 @@ TEST(SnapshotServiceTest, WarmServiceReproducesColdOutcomes) {
   const Relation ie = ds.SpecFor(0).ie;
   std::unique_ptr<AccuracyService> cold = ColdService(ds, ie);
   const std::string path =
-      ::testing::TempDir() + "/relacc_snapshot_identity.snap";
+      testing_fixture::TempPath("snapshot_identity.snap");
   ASSERT_TRUE(cold->WriteSnapshot(path).ok());
   std::unique_ptr<AccuracyService> warm = WarmService(path);
 
@@ -292,7 +292,7 @@ TEST(SnapshotServiceTest, FailedCheckpointRoundTrips) {
       << "fixture drift: the flat union chased Church-Rosser";
 
   const std::string path =
-      ::testing::TempDir() + "/relacc_snapshot_failed_cp.snap";
+      testing_fixture::TempPath("snapshot_failed_cp.snap");
   ASSERT_TRUE(cold->WriteSnapshot(path).ok());
   Result<std::unique_ptr<SnapshotReader>> opened = SnapshotReader::Open(path);
   ASSERT_TRUE(opened.ok());
@@ -340,7 +340,6 @@ TEST(MemoCacheTest, HitMissEvictionAndDisabled) {
 TEST(SnapshotServiceTest, MemoizedCallsAreIdenticalAndCounted) {
   const EntityDataset ds = SmallMed();
   ServiceOptions options;
-  options.columnar_storage = true;
   options.num_threads = 2;
   options.memo_cache_entries = 16;
   std::unique_ptr<AccuracyService> service =
@@ -387,7 +386,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
   /// Writes `bytes` to a scratch file and returns Open's status.
   Status OpenStatus(const std::vector<uint8_t>& bytes) {
     const std::string scratch =
-        ::testing::TempDir() + "/relacc_snapshot_scratch.snap";
+        testing_fixture::TempPath("snapshot_scratch.snap");
     WriteAllBytes(scratch, bytes);
     Result<std::unique_ptr<SnapshotReader>> opened =
         SnapshotReader::Open(scratch);

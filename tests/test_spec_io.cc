@@ -6,6 +6,7 @@
 #include "chase/chase_engine.h"
 #include "io/spec_io.h"
 #include "mj_fixture.h"
+#include "temp_path.h"
 
 namespace relacc {
 namespace {
@@ -237,7 +238,7 @@ TEST(SpecIo, CsvHeaderMismatchIsAParseError) {
 }
 
 TEST(SpecIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/relacc_spec_io_test.json";
+  const std::string path = testing_fixture::TempPath("spec_io_test.json");
   Json json = SpecToJson(MjDocument());
   ASSERT_TRUE(WriteFile(path, json.Dump(2)).ok());
   Result<std::string> read = ReadFile(path);
