@@ -1,14 +1,12 @@
 // IsCR timing (Sec. 7, text: "IsCR takes about 10ms" per entity) plus the
 // interactive-session resume cost: the Fig. 3 loop re-chases once per user
-// revision via ChaseEngine::ResumeWith, and this bench pits the
-// trail-native resume (a persistent session state that extends across
-// accumulating revisions and rolls back through its trail) against the
-// kCopy escape hatch (deep-copy the
-// all-null checkpoint per revision, O(attrs · n²/64) words). Outcomes must
-// be identical — Church-Rosser flag, target, violation emptiness and the
-// per-call stats delta — and trail is expected to win by ≥ 5x from n = 64
-// up on med-profile entities (the copy cost is quadratic in n; the trail
-// cost follows the resume's footprint).
+// revision via ChaseEngine::ResumeWith, and this bench times that resume
+// (a persistent session state that extends across accumulating revisions
+// and rolls back through its trail) against a from-scratch
+// ChaseEngine::Run of the same revision, which replays the whole
+// all-null chase every time. Outcomes must be identical — Church-Rosser
+// flag, target and violation emptiness. Per-call stats are not compared:
+// a resume reports only its own delta, a from-scratch run its totals.
 //
 // Emits BENCH_iscr_timing.json (bench::JsonReport); exits nonzero only on
 // an outcome mismatch, so perf noise cannot break CI.
@@ -52,9 +50,8 @@ void TimeIsCR(JsonReport* report, const char* profile,
 /// The rounds of one simulated interactive session over `spec`:
 /// cumulative truth reveals — round r designates the true values of the
 /// first r still-null attributes, exactly the Exp-3 shape DriveInteraction
-/// feeds ResumeWith. Under kTrail each round extends the session prefix,
-/// so only the new reveal is chased in; kCopy replays the whole prefix
-/// on a fresh checkpoint copy every round.
+/// feeds ResumeWith. Each round extends the session prefix, so only the
+/// new reveal is chased in; a from-scratch run replays everything.
 std::vector<Tuple> SessionRounds(const Specification& spec,
                                  const Tuple& deduced, const Tuple& truth) {
   const int num_attrs = spec.ie.schema().size();
@@ -94,31 +91,27 @@ std::vector<Tuple> IndependentRevisions(const Specification& spec,
 
 struct ResumeRun {
   double ms = 0.0;
-  /// One entry per revision: CR flag and target (or violation marker) —
-  /// must match across strategies. Stats are excluded deliberately: a
-  /// session-extending trail resume legitimately reports less work.
+  /// One entry per revision: CR flag with target or violation emptiness
+  /// — must match between the resume and the from-scratch run.
   std::vector<std::string> outcomes;
 };
 
-ResumeRun RunResumes(const Specification& spec, const GroundProgram& prog,
-                     CheckStrategy strategy,
-                     const std::vector<Tuple>& revisions, int rounds) {
-  ChaseConfig config = spec.config;
-  config.check_strategy = strategy;
-  ChaseEngine engine(spec.ie, &prog, config);
+std::string OutcomeKey(const ChaseOutcome& out) {
+  if (out.church_rosser) return out.target.ToString();
+  return out.violation.empty() ? "abort (no violation)" : "abort";
+}
+
+/// Times `rounds` passes over `revisions` through `chase` — the resume
+/// session or a from-scratch run — recording the first pass's outcomes.
+template <typename Chase>
+ResumeRun TimeRevisions(const std::vector<Tuple>& revisions, int rounds,
+                        Chase chase) {
   ResumeRun run;
-  if (!engine.RunFromCheckpoint().church_rosser) return run;
-  // Warm-up: builds the kTrail session state (a one-time copy a
-  // framework session amortizes over all its rounds).
-  (void)engine.ResumeWith(revisions[0]);
   run.ms = TimeMs([&] {
     for (int r = 0; r < rounds; ++r) {
       for (const Tuple& revision : revisions) {
-        const ChaseOutcome out = engine.ResumeWith(revision);
-        if (r == 0) {
-          run.outcomes.push_back(out.church_rosser ? out.target.ToString()
-                                                   : "abort");
-        }
+        const ChaseOutcome out = chase(revision);
+        if (r == 0) run.outcomes.push_back(OutcomeKey(out));
       }
     }
   });
@@ -146,11 +139,11 @@ int Run() {
     TimeIsCR(&report, "cfp", cfp, small ? 12 : 100);
   }
 
-  std::printf("\n== per-revision ResumeWith: trail vs copy "
+  std::printf("\n== per-revision ResumeWith vs from-scratch Run "
               "(med profile, exact |Ie| per point%s) ==\n",
               small ? "; RELACC_BENCH_SMALL" : "");
   std::printf("%6s %-12s %10s %14s %14s %9s\n", "n", "kind", "revisions",
-              "copy us/rev", "trail us/rev", "speedup");
+              "scratch us/rev", "resume us/rev", "speedup");
 
   const std::vector<int> sizes =
       small ? std::vector<int>{16, 32} : std::vector<int>{16, 64, 96};
@@ -197,27 +190,37 @@ int Run() {
             1, target_resumes / static_cast<int64_t>(revisions.size())));
         const int64_t resumes =
             static_cast<int64_t>(revisions.size()) * rounds;
-        const ResumeRun copy =
-            RunResumes(spec, prog, CheckStrategy::kCopy, revisions, rounds);
-        const ResumeRun trail =
-            RunResumes(spec, prog, CheckStrategy::kTrail, revisions, rounds);
-        if (copy.outcomes != trail.outcomes) all_identical = false;
+        ChaseEngine engine(spec.ie, &prog, spec.config);
+        // Warm-up: builds the checkpoint and the session state (one-time
+        // costs a framework session amortizes over all its rounds).
+        (void)engine.ResumeWith(revisions[0]);
+        const ResumeRun scratch =
+            TimeRevisions(revisions, rounds, [&](const Tuple& revision) {
+              return engine.Run(revision);
+            });
+        const ResumeRun resume =
+            TimeRevisions(revisions, rounds, [&](const Tuple& revision) {
+              return engine.ResumeWith(revision);
+            });
+        if (scratch.outcomes != resume.outcomes) all_identical = false;
 
-        const double copy_us = copy.ms * 1e3 / static_cast<double>(resumes);
-        const double trail_us =
-            trail.ms * 1e3 / static_cast<double>(resumes);
-        const double speedup = trail.ms > 0.0 ? copy.ms / trail.ms : 0.0;
+        const double scratch_us =
+            scratch.ms * 1e3 / static_cast<double>(resumes);
+        const double resume_us =
+            resume.ms * 1e3 / static_cast<double>(resumes);
+        const double speedup =
+            resume.ms > 0.0 ? scratch.ms / resume.ms : 0.0;
         std::printf("%6d %-12s %10zu %14.1f %14.1f %8.2fx\n", n, kind,
-                    revisions.size(), copy_us, trail_us, speedup);
+                    revisions.size(), scratch_us, resume_us, speedup);
 
         JsonReport::Row row;
-        row.Set("section", "resume_trail_vs_copy")
+        row.Set("section", "resume_vs_scratch")
             .Set("kind", kind)
             .Set("n", n)
             .Set("revisions", static_cast<int64_t>(revisions.size()))
             .Set("rounds", rounds)
-            .Set("copy_us_per_resume", copy_us)
-            .Set("trail_us_per_resume", trail_us)
+            .Set("scratch_us_per_resume", scratch_us)
+            .Set("resume_us_per_resume", resume_us)
             .Set("speedup", speedup);
         report.Add(std::move(row));
       }
@@ -229,7 +232,7 @@ int Run() {
   }
 
   report.Write();
-  std::printf("resume outcomes identical across strategies: %s\n",
+  std::printf("resume outcomes identical to from-scratch runs: %s\n",
               all_identical ? "yes" : "NO (BUG)");
   return all_identical ? 0 : 1;
 }

@@ -553,7 +553,7 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
     ie = own_ie;
     ThreadPool* pool = budget_ > 1 ? &ChasePool() : nullptr;
     session->own_cie_ = std::make_unique<ColumnarRelation>(
-        ColumnarRelation::FromRelation(*own_ie, dict_.get()));
+        ColumnarRelation::FromRelation(*own_ie, &session->own_dict_));
     cie = session->own_cie_.get();
     session->own_program_ = std::make_unique<GroundProgram>(
         Instantiate(*cie, spec_.masters, spec_.rules, budget_, pool));
@@ -564,6 +564,8 @@ AccuracyService::StartInteractionImpl(InteractionOptions options,
   // Default-entity sessions still share the service checkpoint by
   // pointer (no second all-null chase) — which requires the session
   // engine to intern into the same dictionary as the service engine.
+  // Own-entity sessions intern into their own dictionary, so their terms
+  // go away with the session instead of growing the service's.
   session->engine_ = std::make_unique<ChaseEngine>(*cie, program, spec_.config);
   if (own_ie == nullptr) {
     session->engine_->AdoptCheckpointFrom(*engine_);

@@ -46,8 +46,8 @@ struct ServiceOptions {
   /// Chase configuration override. When set it replaces the `config`
   /// embedded in the Specification; when empty the spec's own config
   /// governs. An optional (rather than a plain ChaseConfig) so a
-  /// spec-pinned check strategy is never silently clobbered by a
-  /// default-constructed option.
+  /// spec-pinned setting (say, an action budget) is never silently
+  /// clobbered by a default-constructed option.
   std::optional<ChaseConfig> chase;
 
   /// Default completion policy for pipeline sessions and one-shot runs.
@@ -211,8 +211,8 @@ enum class TopKAlgorithm {
 ///     complete, Finish() for the aggregate PipelineReport. At most
 ///     `window` completion engines are in flight, so memory is bounded by
 ///     the window, not by the number of entities; the report is
-///     byte-identical for every window, budget, completion-worker count
-///     and check strategy (only its `plan` echoes the budget).
+///     byte-identical for every window, budget and completion-worker
+///     count (only its `plan` echoes the budget).
 ///   * StartInteraction() — the Fig. 3 user loop as a stateful object:
 ///     Suggest()/Revise()/Accept() over a persistent chase session
 ///     (ChaseEngine::ResumeWith), so each accumulating revision costs
@@ -252,9 +252,12 @@ class AccuracyService {
   int64_t default_window() const { return options_.window; }
 
   /// The service-wide term dictionary (ServiceOptions::dictionary or
-  /// service-created): every engine the service builds interns into it,
-  /// so TermId-encoded checkpoints stay portable across the default
-  /// engine, checker worker engines, completion slots and sessions.
+  /// service-created) of the service's own entity: the default engine,
+  /// its checker worker engines and default-entity interaction sessions
+  /// intern into it, so the shared TermId-encoded checkpoint stays valid
+  /// across them. Caller-supplied entities — pipeline entities,
+  /// DeduceEntity(entity) and own-entity interaction sessions — intern
+  /// into dictionaries local to the entity and never grow this one.
   Dictionary* dictionary() const { return dict_.get(); }
 
   /// How this service stores its data: "columnar" (built from the
@@ -467,8 +470,8 @@ class AccuracyService {
 /// one-session-at-a-time contract has always required.
 ///
 /// Reports come back in input order and are byte-identical for every
-/// window size, thread budget, completion-worker count, submit batching
-/// and check strategy — only PipelineReport::plan echoes the budget
+/// window size, thread budget, completion-worker count and submit
+/// batching — only PipelineReport::plan echoes the budget
 /// (enforced by tests/test_accuracy_service.cc and
 /// bench/pipeline_scaling.cc).
 class PipelineSession {
@@ -624,9 +627,10 @@ class InteractionSession {
   InteractionOptions options_;
 
   // For sessions over a caller-supplied entity; default-entity sessions
-  // borrow the service's relation and program instead. own_cie_ is the
-  // encoded entity the session engine reads (interned into the service
-  // dictionary).
+  // borrow the service's relation, program and dictionary instead.
+  // own_cie_ is the encoded entity the session engine reads, interned
+  // into the session-local own_dict_ (declared first, destroyed last).
+  Dictionary own_dict_;
   std::unique_ptr<ColumnarRelation> own_cie_;
   std::unique_ptr<GroundProgram> own_program_;
 

@@ -218,14 +218,6 @@ Result<SpecDocument> SpecFromJsonImpl(const Json& doc,
     if (keep.ok()) out.spec.config.keep_orders = keep.value();
     Result<int64_t> max_actions = config->GetInt("max_actions");
     if (max_actions.ok()) out.spec.config.max_actions = max_actions.value();
-    Result<std::string> strategy = config->GetString("check_strategy");
-    if (strategy.ok()) {
-      if (!ParseCheckStrategy(strategy.value(),
-                              &out.spec.config.check_strategy)) {
-        return Status::InvalidArgument(
-            "config.check_strategy must be 'trail' or 'copy'");
-      }
-    }
   }
 
   const Json* rules = doc.Find("rules");
@@ -347,8 +339,6 @@ Json SpecToJson(const SpecDocument& doc) {
   config.Set("builtin_axioms", Json::Bool(doc.spec.config.builtin_axioms));
   config.Set("keep_orders", Json::Bool(doc.spec.config.keep_orders));
   config.Set("max_actions", Json::Int(doc.spec.config.max_actions));
-  config.Set("check_strategy",
-             Json::Str(CheckStrategyName(doc.spec.config.check_strategy)));
   out.Set("config", std::move(config));
   return out;
 }

@@ -95,9 +95,9 @@ bool PartialOrder::AddPair(int i, int j,
       }
     }
   }
-  // Leave the scratch empty (capacity retained): a deep copy of this
-  // order — the kCopy strategy's per-candidate cost — must not pay for
-  // a stale snapshot.
+  // Leave the scratch empty (capacity retained): a copy of this order —
+  // a probe or session state built from the checkpoint — must not pay
+  // for a stale snapshot.
   sources.clear();
   return true;
 }

@@ -41,6 +41,15 @@
 // was not built for with kInvalidArgument and the caller re-builds the
 // artifact (`relacc snapshot build` is cheap relative to shipping
 // compatibility shims for a cache file).
+//
+// meta section, in order: str tool version, u8 builtin_axioms, u8
+// keep_orders, i64 max_actions, u8 reserved (kMetaReservedByte), u32
+// schema size, u64 entity rows, u32 master count, u64 dictionary terms,
+// u64 ground steps, u8 checkpoint ok. The reserved byte once selected a
+// candidate-check strategy (0 or 1); candidate checks now have a single
+// path, so writers always write kMetaReservedByte and readers accept
+// either old value but reject anything above it — artifacts written
+// before the strategy went away still load unchanged.
 
 static_assert(std::endian::native == std::endian::little,
               "snapshot artifacts are little-endian and read in place; "
@@ -53,6 +62,7 @@ inline constexpr char kMagic[8] = {'R', 'E', 'L', 'A', 'C', 'C', 'S', 'N'};
 inline constexpr uint32_t kFormatVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 32;
 inline constexpr std::size_t kSectionEntryBytes = 32;
+inline constexpr uint8_t kMetaReservedByte = 1;
 
 /// Section identifiers. The table may list them in any order; exactly
 /// one of each is required (kMasters covers all master relations).

@@ -14,8 +14,8 @@
 namespace relacc {
 
 /// Fans the per-candidate `check` chase (CheckCandidateTarget, Sec. 6) out
-/// over a ThreadPool. A ChaseEngine holds mutable run state — the kTrail
-/// probe state that CheckCandidate chases on and rolls back — so engines
+/// over a ThreadPool. A ChaseEngine holds mutable run state — the probe
+/// state that CheckCandidate chases on and rolls back — so engines
 /// must not be shared between workers: the checker owns one engine per
 /// worker slot, all built over the same (Ie, ground program, config) as
 /// the prototype engine and sharing its immutable all-null checkpoint by

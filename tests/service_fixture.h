@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -48,18 +47,12 @@ inline FrameworkResult DriveOwnEntity(const Specification& spec,
 }
 
 /// AccuracyService::CheckCandidates over `spec` under a `threads`-wide
-/// budget, with the chase config's check strategy overridden when
-/// `strategy` is given; empty (after recording the failure) on a service
-/// error.
-inline std::vector<char> ServiceVerdicts(
-    const Specification& spec, const std::vector<Tuple>& candidates,
-    int threads, std::optional<CheckStrategy> strategy = std::nullopt) {
+/// budget; empty (after recording the failure) on a service error.
+inline std::vector<char> ServiceVerdicts(const Specification& spec,
+                                         const std::vector<Tuple>& candidates,
+                                         int threads) {
   ServiceOptions options;
   options.num_threads = threads;
-  if (strategy.has_value()) {
-    options.chase = spec.config;
-    options.chase->check_strategy = *strategy;
-  }
   Result<std::unique_ptr<AccuracyService>> service =
       AccuracyService::Create(spec, std::move(options));
   if (!service.ok()) {
@@ -78,14 +71,12 @@ inline std::vector<char> ServiceVerdicts(
 /// A pipeline service specification over a generated dataset: its
 /// masters, rules and chase config. The relation only fixes the schema;
 /// the entities are streamed through a session.
-inline Specification PipelineSpec(
-    const EntityDataset& ds, CheckStrategy strategy = CheckStrategy::kTrail) {
+inline Specification PipelineSpec(const EntityDataset& ds) {
   Specification spec;
   spec.ie = Relation(ds.schema);
   spec.masters = ds.masters;
   spec.rules = ds.rules;
   spec.config = ds.chase_config;
-  spec.config.check_strategy = strategy;
   return spec;
 }
 

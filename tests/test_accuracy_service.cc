@@ -78,32 +78,27 @@ PipelineReport StreamAll(AccuracyService& service,
 
 // --- streaming pipeline: identity with the serial one-window reference -----
 
-TEST(PipelineSessionTest, IdenticalToReferenceAcrossBudgetsAndStrategies) {
+TEST(PipelineSessionTest, IdenticalToReferenceAcrossBudgetsAndWindows) {
   const EntityDataset ds = MedDataset();
   const PipelineReport reference =
       ReferencePipelineReport(PipelineSpec(ds), ds.entities);
   EXPECT_GT(reference.num_completed_by_candidates, 0);
-  for (const CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    for (const int budget : {1, 4, 8}) {
-      const PipelineThreadPlan plan = ComputePipelineThreadPlan(
-          budget, static_cast<int64_t>(ds.entities.size()));
-      for (const int64_t window : {int64_t{1}, int64_t{3}, int64_t{64}}) {
-        ServiceOptions service_options;
-        service_options.num_threads = budget;
-        service_options.window = window;
-        auto service =
-            MakeService(PipelineSpec(ds, strategy), service_options);
-        const PipelineReport streamed =
-            StreamAll(*service, ds.entities, /*batch=*/7);
-        EXPECT_EQ(SerializeReport(streamed), SerializeReport(reference))
-            << CheckStrategyName(strategy) << " budget " << budget
-            << " window " << window;
-        // The plan echoes the budget, never the windowing.
-        EXPECT_EQ(streamed.plan.chase_threads, plan.chase_threads);
-        EXPECT_EQ(streamed.plan.completion_workers, plan.completion_workers);
-        EXPECT_EQ(streamed.plan.check_threads, plan.check_threads);
-      }
+  for (const int budget : {1, 4, 8}) {
+    const PipelineThreadPlan plan = ComputePipelineThreadPlan(
+        budget, static_cast<int64_t>(ds.entities.size()));
+    for (const int64_t window : {int64_t{1}, int64_t{3}, int64_t{64}}) {
+      ServiceOptions service_options;
+      service_options.num_threads = budget;
+      service_options.window = window;
+      auto service = MakeService(PipelineSpec(ds), service_options);
+      const PipelineReport streamed =
+          StreamAll(*service, ds.entities, /*batch=*/7);
+      EXPECT_EQ(SerializeReport(streamed), SerializeReport(reference))
+          << "budget " << budget << " window " << window;
+      // The plan echoes the budget, never the windowing.
+      EXPECT_EQ(streamed.plan.chase_threads, plan.chase_threads);
+      EXPECT_EQ(streamed.plan.completion_workers, plan.completion_workers);
+      EXPECT_EQ(streamed.plan.check_threads, plan.check_threads);
     }
   }
 }
@@ -271,34 +266,28 @@ TEST(PipelineSessionTest, SubmitReturnsWhileTheDriverCompletesWindows) {
                 ReferencePipelineReport(PipelineSpec(ds), ds.entities)));
 }
 
-TEST(PipelineSessionTest,
-     ReportsIdenticalAcrossCompletionWorkersWindowsAndStrategies) {
+TEST(PipelineSessionTest, ReportsIdenticalAcrossCompletionWorkersAndWindows) {
   // The parallel-completion determinism matrix: completion workers
-  // {1, 2, 8} × window {1, 5, 64} × check strategy {trail, copy} at a
-  // fixed budget of 8 must reproduce the serial one-window reference
-  // byte for byte — the input-order reduction makes worker count and
-  // per-worker check width unobservable.
+  // {1, 2, 8} × window {1, 5, 64} at a fixed budget of 8 must reproduce
+  // the serial one-window reference byte for byte — the input-order
+  // reduction makes worker count and per-worker check width
+  // unobservable.
   const EntityDataset ds = MedDataset(/*seed=*/13, /*entities=*/18,
                                       /*corruption=*/0.8);
   const PipelineReport reference =
       ReferencePipelineReport(PipelineSpec(ds), ds.entities);
-  for (const CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    for (const int workers : {1, 2, 8}) {
-      for (const int64_t window : {int64_t{1}, int64_t{5}, int64_t{64}}) {
-        ServiceOptions service_options;
-        service_options.num_threads = 8;
-        service_options.window = window;
-        auto service =
-            MakeService(PipelineSpec(ds, strategy), service_options);
-        PipelineSessionOptions session_options;
-        session_options.completion_workers = workers;
-        const PipelineReport streamed = StreamAll(
-            *service, ds.entities, /*batch=*/7, std::move(session_options));
-        EXPECT_EQ(SerializeReport(streamed), SerializeReport(reference))
-            << CheckStrategyName(strategy) << " workers " << workers
-            << " window " << window;
-      }
+  for (const int workers : {1, 2, 8}) {
+    for (const int64_t window : {int64_t{1}, int64_t{5}, int64_t{64}}) {
+      ServiceOptions service_options;
+      service_options.num_threads = 8;
+      service_options.window = window;
+      auto service = MakeService(PipelineSpec(ds), service_options);
+      PipelineSessionOptions session_options;
+      session_options.completion_workers = workers;
+      const PipelineReport streamed = StreamAll(
+          *service, ds.entities, /*batch=*/7, std::move(session_options));
+      EXPECT_EQ(SerializeReport(streamed), SerializeReport(reference))
+          << "workers " << workers << " window " << window;
     }
   }
 }
@@ -376,14 +365,18 @@ TEST(AccuracyServiceTest, GroundShardsDoNotChangeAnyOutcome) {
 
 TEST(AccuracyServiceTest, ChaseOverrideReplacesSpecConfig) {
   Specification spec = MjSpecification();
-  spec.config.check_strategy = CheckStrategy::kTrail;
+  spec.config.max_actions = -1;
   ServiceOptions options;
   ChaseConfig override_config = spec.config;
-  override_config.check_strategy = CheckStrategy::kCopy;
+  override_config.max_actions = 1;  // far below what the MJ chase needs
   options.chase = override_config;
   auto service = MakeService(std::move(spec), std::move(options));
-  EXPECT_EQ(service->specification().config.check_strategy,
-            CheckStrategy::kCopy);
+  EXPECT_EQ(service->specification().config.max_actions, 1);
+  // The override governs the chase itself, not just the echoed config.
+  Result<ChaseOutcome> outcome = service->DeduceEntity();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_FALSE(outcome.value().church_rosser);
+  EXPECT_NE(outcome.value().violation.find("budget"), std::string::npos);
 }
 
 TEST(AccuracyServiceTest, ManagedTopKKnobsAreRejectedNotOverridden) {
@@ -662,6 +655,44 @@ TEST(InteractionSessionTest, CustomEntitySessionsMatchPerEntityServices) {
     EXPECT_EQ(driven.target, alone.target) << i;
     EXPECT_EQ(driven.interaction_rounds, alone.interaction_rounds) << i;
     EXPECT_EQ(driven.automatic_attrs, alone.automatic_attrs) << i;
+  }
+}
+
+TEST(InteractionSessionTest, OwnEntitySessionsLeaveServiceDictionaryUnchanged) {
+  // Own-entity sessions intern into a session-local dictionary: opening
+  // and closing many of them over distinct entities must not grow the
+  // service dictionary, and each still suggests what a service built
+  // for that entity alone suggests.
+  const EntityDataset ds = MedDataset(/*seed=*/29, /*entities=*/50);
+  ASSERT_EQ(ds.entities.size(), 50u);
+  auto service = MakeService(PipelineSpec(ds));
+  const std::size_t terms_before = service->dictionary_terms();
+  for (std::size_t i = 0; i < ds.entities.size(); ++i) {
+    auto alone = MakeService(ds.SpecFor(static_cast<int>(i)));
+    Result<std::unique_ptr<InteractionSession>> reference =
+        alone->StartInteraction(KOpts(3));
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    Result<Suggestion> expected = reference.value()->Suggest();
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    Result<std::unique_ptr<InteractionSession>> session =
+        service->StartInteraction(ds.entities[i], KOpts(3));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    Result<Suggestion> got = session.value()->Suggest();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().church_rosser, expected.value().church_rosser) << i;
+    EXPECT_EQ(got.value().violation, expected.value().violation) << i;
+    EXPECT_EQ(got.value().deduced_target, expected.value().deduced_target)
+        << i;
+    EXPECT_EQ(got.value().complete, expected.value().complete) << i;
+    EXPECT_EQ(got.value().candidates.targets,
+              expected.value().candidates.targets)
+        << i;
+    EXPECT_EQ(got.value().candidates.scores,
+              expected.value().candidates.scores)
+        << i;
+    session.value().reset();
+    EXPECT_EQ(service->dictionary_terms(), terms_before) << "after " << i;
   }
 }
 

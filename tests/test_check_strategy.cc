@@ -1,13 +1,12 @@
-// Equivalence and rollback tests for the two candidate-check strategies
-// (ChaseConfig::check_strategy): kTrail — chase in place on a long-lived
-// probe state and undo in O(changes) — must be observationally identical
-// to the kCopy reference (deep copy of the all-null checkpoint per
-// candidate). Covers per-candidate verdicts (including candidates whose
-// probe aborts mid-chase on a Church-Rosser violation: the rollback must
-// leave the checkpoint pristine), the batch layer across thread counts,
-// byte-identical ranked output of all four top-k algorithms, the
-// checkpoint-backed RunFromCheckpoint entry point, and the config's JSON
-// round-trip.
+// Equivalence and rollback tests for the candidate check
+// (ChaseEngine::CheckCandidate): chasing in place on a long-lived probe
+// state and undoing in O(changes) must be observationally identical to
+// the from-scratch reference ChaseEngine::Run(t).church_rosser. Covers
+// per-candidate verdicts (including candidates whose probe aborts
+// mid-chase on a Church-Rosser violation: the rollback must leave the
+// checkpoint pristine), the batch layer across thread counts,
+// byte-identical ranked output of all four top-k algorithms across
+// thread counts, and the checkpoint-backed RunFromCheckpoint entry point.
 
 #include <algorithm>
 #include <string>
@@ -17,7 +16,6 @@
 
 #include "chase/chase_engine.h"
 #include "datagen/syn_generator.h"
-#include "io/spec_io.h"
 #include "mj_fixture.h"
 #include "rules/grounding.h"
 #include "service_fixture.h"
@@ -71,40 +69,35 @@ std::vector<Tuple> MixedPool(const Specification& spec,
   return pool;
 }
 
-TEST(CheckStrategy, VerdictsMatchCopyIncludingConflictedProbes) {
+TEST(CandidateCheck, VerdictsMatchFromScratchRunIncludingConflictedProbes) {
   const Specification spec = Example9Spec();
   const GroundProgram program =
       Instantiate(spec.ie, spec.masters, spec.rules);
+  const ChaseEngine engine(spec.ie, &program, spec.config);
 
-  ChaseConfig copy_cfg = spec.config;
-  copy_cfg.check_strategy = CheckStrategy::kCopy;
-  const ChaseEngine copy_engine(spec.ie, &program, copy_cfg);
-
-  ChaseConfig trail_cfg = spec.config;
-  trail_cfg.check_strategy = CheckStrategy::kTrail;
-  const ChaseEngine trail_engine(spec.ie, &program, trail_cfg);
-
-  const std::vector<Tuple> pool = MixedPool(spec, copy_engine);
+  const std::vector<Tuple> pool = MixedPool(spec, engine);
   ASSERT_GT(pool.size(), 8u);
 
   int passed = 0, failed = 0;
   for (const Tuple& t : pool) {
-    const bool expect = copy_engine.CheckCandidate(t);
-    EXPECT_EQ(trail_engine.CheckCandidate(t), expect);
-    (expect ? passed : failed) += 1;
+    const ChaseOutcome reference = engine.Run(t);
+    EXPECT_EQ(engine.CheckCandidate(t), reference.church_rosser);
+    // A passing candidate is its own terminal target.
+    if (reference.church_rosser) {
+      EXPECT_EQ(reference.target, t);
+    }
+    (reference.church_rosser ? passed : failed) += 1;
   }
   // The pool genuinely mixes outcomes, so the comparison is not vacuous.
   EXPECT_GT(passed, 0);
   EXPECT_GT(failed, 0);
 }
 
-TEST(CheckStrategy, RollbackAfterConflictLeavesCheckpointPristine) {
+TEST(CandidateCheck, RollbackAfterConflictLeavesCheckpointPristine) {
   const Specification spec = Example9Spec();
   const GroundProgram program =
       Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseConfig cfg = spec.config;
-  cfg.check_strategy = CheckStrategy::kTrail;
-  const ChaseEngine engine(spec.ie, &program, cfg);
+  const ChaseEngine engine(spec.ie, &program, spec.config);
 
   const std::vector<Tuple> pool = MixedPool(spec, engine);
   std::vector<char> first;
@@ -129,22 +122,19 @@ TEST(CheckStrategy, RollbackAfterConflictLeavesCheckpointPristine) {
                               .target);
 }
 
-TEST(CheckStrategy, BatchVerdictsMatchAcrossStrategiesAndThreads) {
+TEST(CandidateCheck, BatchVerdictsMatchFromScratchRunAcrossThreads) {
   const Specification spec = Example9Spec();
   const GroundProgram program =
       Instantiate(spec.ie, spec.masters, spec.rules);
   const ChaseEngine engine(spec.ie, &program, spec.config);
   const std::vector<Tuple> pool = MixedPool(spec, engine);
 
-  const std::vector<char> reference =
-      ServiceVerdicts(spec, pool, 1, CheckStrategy::kCopy);
-  ASSERT_EQ(reference.size(), pool.size());
+  std::vector<char> reference;
+  for (const Tuple& t : pool) {
+    reference.push_back(engine.Run(t).church_rosser ? 1 : 0);
+  }
   for (int threads : {1, 4}) {
-    EXPECT_EQ(ServiceVerdicts(spec, pool, threads, CheckStrategy::kTrail),
-              reference)
-        << "threads=" << threads;
-    EXPECT_EQ(ServiceVerdicts(spec, pool, threads, CheckStrategy::kCopy),
-              reference)
+    EXPECT_EQ(ServiceVerdicts(spec, pool, threads), reference)
         << "threads=" << threads;
   }
 }
@@ -163,12 +153,12 @@ constexpr AlgoCase kAlgos[] = {
     {"TopKBruteForce", &TopKBruteForce},
 };
 
-/// All four algorithms, both strategies, thread counts {1, 4}: ranked
-/// output (targets, scores, exhausted_budget) must be byte-identical to
-/// the sequential kCopy reference.
-void ExpectStrategiesEquivalent(const Specification& spec,
-                                const PreferenceModel& pref, const Tuple& te,
-                                int k) {
+/// All four algorithms, thread counts {1, 4}: ranked output (targets,
+/// scores, exhausted_budget) must be byte-identical to the same
+/// algorithm's sequential run on a separate engine.
+void ExpectThreadCountsEquivalent(const Specification& spec,
+                                  const PreferenceModel& pref,
+                                  const Tuple& te, int k) {
   const GroundProgram program =
       Instantiate(spec.ie, spec.masters, spec.rules);
   std::size_t max_targets = 0;
@@ -177,37 +167,28 @@ void ExpectStrategiesEquivalent(const Specification& spec,
     opts.max_expansions = 2000;
     opts.num_threads = 1;
 
-    ChaseConfig copy_cfg = spec.config;
-    copy_cfg.check_strategy = CheckStrategy::kCopy;
-    const ChaseEngine copy_engine(spec.ie, &program, copy_cfg);
-    ASSERT_TRUE(copy_engine.RunFromCheckpoint().church_rosser);
+    const ChaseEngine reference_engine(spec.ie, &program, spec.config);
+    ASSERT_TRUE(reference_engine.RunFromCheckpoint().church_rosser);
     const TopKResult reference =
-        algo.run(copy_engine, spec.masters, te, pref, k, opts);
+        algo.run(reference_engine, spec.masters, te, pref, k, opts);
     max_targets = std::max(max_targets, reference.targets.size());
 
-    for (CheckStrategy strategy :
-         {CheckStrategy::kCopy, CheckStrategy::kTrail}) {
-      ChaseConfig cfg = spec.config;
-      cfg.check_strategy = strategy;
-      const ChaseEngine engine(spec.ie, &program, cfg);
-      for (int threads : {1, 4}) {
-        opts.num_threads = threads;
-        const TopKResult got =
-            algo.run(engine, spec.masters, te, pref, k, opts);
-        const char* strategy_name = CheckStrategyName(strategy);
-        EXPECT_EQ(got.targets, reference.targets)
-            << algo.name << " " << strategy_name << " threads=" << threads;
-        EXPECT_EQ(got.scores, reference.scores)
-            << algo.name << " " << strategy_name << " threads=" << threads;
-        EXPECT_EQ(got.exhausted_budget, reference.exhausted_budget)
-            << algo.name << " " << strategy_name << " threads=" << threads;
-      }
+    const ChaseEngine engine(spec.ie, &program, spec.config);
+    for (int threads : {1, 4}) {
+      opts.num_threads = threads;
+      const TopKResult got = algo.run(engine, spec.masters, te, pref, k, opts);
+      EXPECT_EQ(got.targets, reference.targets)
+          << algo.name << " threads=" << threads;
+      EXPECT_EQ(got.scores, reference.scores)
+          << algo.name << " threads=" << threads;
+      EXPECT_EQ(got.exhausted_budget, reference.exhausted_budget)
+          << algo.name << " threads=" << threads;
     }
   }
   EXPECT_GT(max_targets, 0u);  // not vacuous
 }
 
-TEST(CheckStrategy, RankedOutputIdenticalOnMjFixture) {
+TEST(CandidateCheck, RankedOutputIdenticalOnMjFixture) {
   const Specification spec = Example9Spec();
   const PreferenceModel pref =
       PreferenceModel::FromOccurrences(spec.ie, spec.masters);
@@ -216,10 +197,10 @@ TEST(CheckStrategy, RankedOutputIdenticalOnMjFixture) {
   const ChaseEngine engine(spec.ie, &program, spec.config);
   const ChaseOutcome outcome = engine.RunFromCheckpoint();
   ASSERT_TRUE(outcome.church_rosser);
-  ExpectStrategiesEquivalent(spec, pref, outcome.target, 5);
+  ExpectThreadCountsEquivalent(spec, pref, outcome.target, 5);
 }
 
-TEST(CheckStrategy, RankedOutputIdenticalOnSyntheticSpec) {
+TEST(CandidateCheck, RankedOutputIdenticalOnSyntheticSpec) {
   // Same re-opened synthetic setting as test_batch_check.cc: a small
   // product with a pass/fail mix every algorithm can search.
   SynConfig config;
@@ -239,10 +220,10 @@ TEST(CheckStrategy, RankedOutputIdenticalOnSyntheticSpec) {
     te.set(schema.MustIndexOf(name), Value());
   }
   ASSERT_GE(te.NullCount(), 3);
-  ExpectStrategiesEquivalent(syn.spec, syn.pref, te, 4);
+  ExpectThreadCountsEquivalent(syn.spec, syn.pref, te, 4);
 }
 
-TEST(CheckStrategy, RunFromCheckpointMatchesRunFromInitial) {
+TEST(CandidateCheck, RunFromCheckpointMatchesRunFromInitial) {
   const Specification spec = Example9Spec();
   const GroundProgram program =
       Instantiate(spec.ie, spec.masters, spec.rules);
@@ -257,7 +238,7 @@ TEST(CheckStrategy, RunFromCheckpointMatchesRunFromInitial) {
   EXPECT_EQ(engine.RunFromCheckpoint().target, fresh.target);
 }
 
-TEST(CheckStrategy, RunFromCheckpointReportsViolationOfBrokenSpec) {
+TEST(CandidateCheck, RunFromCheckpointReportsViolationOfBrokenSpec) {
   // ϕ12 makes the Mj fixture non-Church-Rosser (Example 6); the shared
   // checkpoint must report the same violation as a from-scratch run, and
   // candidate checks against the broken base must refuse everything.
@@ -274,21 +255,6 @@ TEST(CheckStrategy, RunFromCheckpointReportsViolationOfBrokenSpec) {
   if (!fresh.church_rosser) {
     // Candidate checks against a broken base spec refuse everything.
     EXPECT_FALSE(engine.CheckCandidate(testing_fixture::MjExpectedTarget()));
-  }
-}
-
-TEST(CheckStrategy, ConfigRoundTripsThroughSpecJson) {
-  SpecDocument doc;
-  doc.spec = Example9Spec();
-  doc.entity_name = "stat";
-  doc.master_names = {"nba"};
-  for (CheckStrategy strategy :
-       {CheckStrategy::kCopy, CheckStrategy::kTrail}) {
-    doc.spec.config.check_strategy = strategy;
-    const Json json = SpecToJson(doc);
-    const Result<SpecDocument> parsed = SpecFromJson(json);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(parsed.value().spec.config.check_strategy, strategy);
   }
 }
 

@@ -171,6 +171,14 @@ TEST_F(CliTest, TopKAlgoValidation) {
   EXPECT_NE(err_.str().find("--algo"), std::string::npos);
 }
 
+TEST_F(CliTest, TopKRetiredCheckStrategyFlagIsUnknown) {
+  // The flag once chose between two candidate-check paths; with one path
+  // left it is an unknown flag like any other.
+  int rc = Run({"topk", path_, "--check-strategy", "trail"});
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err_.str().find("--check-strategy"), std::string::npos);
+}
+
 TEST_F(CliTest, FmtRulesOnlyEmitsParsableDsl) {
   int rc = Run({"fmt", path_, "--rules-only"});
   EXPECT_EQ(rc, 0) << err_.str();

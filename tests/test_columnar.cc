@@ -29,14 +29,12 @@ EntityDataset SmallMed(uint64_t seed = 5, int entities = 24,
   return GenerateProfile(config);
 }
 
-Specification SpecOf(const EntityDataset& ds, CheckStrategy strategy,
-                     Relation ie) {
+Specification SpecOf(const EntityDataset& ds, Relation ie) {
   Specification spec;
   spec.ie = std::move(ie);
   spec.masters = ds.masters;
   spec.rules = ds.rules;
   spec.config = ds.chase_config;
-  spec.config.check_strategy = strategy;
   return spec;
 }
 
@@ -203,8 +201,7 @@ TEST(ColumnarService, SpecDocumentDictionaryIsShared) {
   const std::size_t before = dict->size();
   ServiceOptions options;
   options.dictionary = dict;
-  auto service = MakeService(SpecOf(ds, CheckStrategy::kTrail, ds.entities[0]),
-                             options);
+  auto service = MakeService(SpecOf(ds, ds.entities[0]), options);
   Result<ChaseOutcome> outcome = service->DeduceEntity();
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(service->dictionary(), dict.get());

@@ -32,49 +32,72 @@ Specification IncompleteMjSpec() {
   return spec;
 }
 
-// The resume tests run under both check strategies: kTrail resumes on
-// the engine's persistent session state; kCopy deep-copies the
-// checkpoint per call. Outcomes must be identical.
+// Where the session's all-null checkpoint comes from. "trail": the engine
+// chases it itself on first use. "copy": it is installed from an image a
+// sibling engine exported (ImportCheckpoint, the snapshot path). Every
+// resume must come out the same either way — and equal to the
+// from-scratch Run each test compares with.
+enum class CheckpointSource { kImported, kChased };
+
 class ResumeWithStrategy
-    : public ::testing::TestWithParam<CheckStrategy> {
+    : public ::testing::TestWithParam<CheckpointSource> {
  protected:
-  Specification WithStrategy(Specification spec) const {
-    spec.config.check_strategy = GetParam();
-    return spec;
+  std::unique_ptr<ChaseEngine> MakeEngine(const Relation& ie,
+                                          const GroundProgram* program,
+                                          const ChaseConfig& config) {
+    if (GetParam() == CheckpointSource::kChased) {
+      return std::make_unique<ChaseEngine>(ie, program, config);
+    }
+    // The image carries TermIds, so donor and importer share a dictionary.
+    ChaseEngine donor(ie, program, config, nullptr, &dict_);
+    ChaseCheckpoint image;
+    donor.ExportCheckpoint(&image);
+    auto engine =
+        std::make_unique<ChaseEngine>(ie, program, config, nullptr, &dict_);
+    EXPECT_TRUE(engine->ImportCheckpoint(image).ok());
+    return engine;
   }
+
+ private:
+  Dictionary dict_;
 };
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ResumeWithStrategy,
-                         ::testing::Values(CheckStrategy::kTrail,
-                                           CheckStrategy::kCopy),
+                         ::testing::Values(CheckpointSource::kChased,
+                                           CheckpointSource::kImported),
                          [](const auto& info) {
-                           return std::string(CheckStrategyName(info.param));
+                           return std::string(
+                               info.param == CheckpointSource::kChased
+                                   ? "trail"
+                                   : "copy");
                          });
 
 TEST_P(ResumeWithStrategy, AllNullResumeEqualsPlainRun) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  std::unique_ptr<ChaseEngine> engine =
+      MakeEngine(spec.ie, &program, spec.config);
 
   Tuple all_null(std::vector<Value>(spec.ie.schema().size(), Value::Null()));
-  ChaseOutcome full = engine.Run(all_null);
-  ChaseOutcome resumed = engine.ResumeWith(all_null);
+  ChaseOutcome full = engine->Run(all_null);
+  ChaseOutcome resumed = engine->ResumeWith(all_null);
   ASSERT_TRUE(full.church_rosser);
   ASSERT_TRUE(resumed.church_rosser);
   EXPECT_EQ(full.target, resumed.target);
 }
 
 TEST_P(ResumeWithStrategy, PartialRevisionMatchesFromScratchRun) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  std::unique_ptr<ChaseEngine> engine =
+      MakeEngine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();
 
   Tuple revision(std::vector<Value>(schema.size(), Value::Null()));
   revision.set(schema.MustIndexOf("arena"), Value::Str("United Center"));
 
-  ChaseOutcome full = engine.Run(revision);
-  ChaseOutcome resumed = engine.ResumeWith(revision);
+  ChaseOutcome full = engine->Run(revision);
+  ChaseOutcome resumed = engine->ResumeWith(revision);
   ASSERT_TRUE(full.church_rosser);
   ASSERT_TRUE(resumed.church_rosser);
   EXPECT_EQ(full.target, resumed.target);
@@ -83,9 +106,10 @@ TEST_P(ResumeWithStrategy, PartialRevisionMatchesFromScratchRun) {
 }
 
 TEST_P(ResumeWithStrategy, ConflictingRevisionIsRejectedOnBothPaths) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  std::unique_ptr<ChaseEngine> engine =
+      MakeEngine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();
 
   // league is pinned to NBA by master data; revising it to SL must make
@@ -93,29 +117,31 @@ TEST_P(ResumeWithStrategy, ConflictingRevisionIsRejectedOnBothPaths) {
   Tuple revision(std::vector<Value>(schema.size(), Value::Null()));
   revision.set(schema.MustIndexOf("league"), Value::Str("SL"));
 
-  ChaseOutcome full = engine.Run(revision);
-  ChaseOutcome resumed = engine.ResumeWith(revision);
+  ChaseOutcome full = engine->Run(revision);
+  ChaseOutcome resumed = engine->ResumeWith(revision);
   EXPECT_FALSE(full.church_rosser);
   EXPECT_FALSE(resumed.church_rosser);
   EXPECT_FALSE(resumed.violation.empty());
 }
 
 TEST_P(ResumeWithStrategy, NonChurchRosserBaseReportsViolation) {
-  Specification spec = WithStrategy(MjSpecification());
+  Specification spec = MjSpecification();
   spec.rules.push_back(Phi12(spec.ie.schema()));
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  std::unique_ptr<ChaseEngine> engine =
+      MakeEngine(spec.ie, &program, spec.config);
 
   Tuple all_null(std::vector<Value>(spec.ie.schema().size(), Value::Null()));
-  ChaseOutcome resumed = engine.ResumeWith(all_null);
+  ChaseOutcome resumed = engine->ResumeWith(all_null);
   EXPECT_FALSE(resumed.church_rosser);
   EXPECT_FALSE(resumed.violation.empty());
 }
 
 TEST_P(ResumeWithStrategy, RepeatedResumesAreIndependent) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  std::unique_ptr<ChaseEngine> engine =
+      MakeEngine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();
   AttrId arena = schema.MustIndexOf("arena");
 
@@ -126,9 +152,9 @@ TEST_P(ResumeWithStrategy, RepeatedResumesAreIndependent) {
 
   // Mutually incompatible revisions: the trail session must reset to the
   // checkpoint between them instead of leaking the previous value.
-  ChaseOutcome a = engine.ResumeWith(r1);
-  ChaseOutcome b = engine.ResumeWith(r2);
-  ChaseOutcome c = engine.ResumeWith(r1);
+  ChaseOutcome a = engine->ResumeWith(r1);
+  ChaseOutcome b = engine->ResumeWith(r2);
+  ChaseOutcome c = engine->ResumeWith(r1);
   ASSERT_TRUE(a.church_rosser);
   ASSERT_TRUE(b.church_rosser);
   EXPECT_EQ(a.target.at(arena), Value::Str("United Center"));
@@ -143,10 +169,11 @@ TEST_P(ResumeWithStrategy, AgreesWithFullRunsAcrossGeneratedRevisions) {
   EntityDataset dataset = GenerateProfile(config);
   int compared = 0;
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
-    Specification spec = WithStrategy(dataset.SpecFor(static_cast<int>(i)));
+    const Specification spec = dataset.SpecFor(static_cast<int>(i));
     GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-    ChaseEngine engine(spec.ie, &program, spec.config);
-    ChaseOutcome base = engine.RunFromInitial();
+    std::unique_ptr<ChaseEngine> engine =
+        MakeEngine(spec.ie, &program, spec.config);
+    ChaseOutcome base = engine->RunFromInitial();
     if (!base.church_rosser || base.target.IsComplete()) continue;
 
     // Reveal the ground truth of each null attribute in turn.
@@ -155,8 +182,8 @@ TEST_P(ResumeWithStrategy, AgreesWithFullRunsAcrossGeneratedRevisions) {
       if (!base.target.at(a).is_null() || truth.at(a).is_null()) continue;
       Tuple revision(std::vector<Value>(spec.ie.schema().size(), Value::Null()));
       revision.set(a, truth.at(a));
-      ChaseOutcome full = engine.Run(revision);
-      ChaseOutcome resumed = engine.ResumeWith(revision);
+      ChaseOutcome full = engine->Run(revision);
+      ChaseOutcome resumed = engine->ResumeWith(revision);
       ASSERT_EQ(full.church_rosser, resumed.church_rosser)
           << "entity " << i << " attr " << a;
       if (full.church_rosser) {
@@ -170,17 +197,26 @@ TEST_P(ResumeWithStrategy, AgreesWithFullRunsAcrossGeneratedRevisions) {
 }
 
 TEST_P(ResumeWithStrategy, KeepOrdersIsHonoured) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+  Specification spec = IncompleteMjSpec();
   spec.config.keep_orders = true;
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  std::unique_ptr<ChaseEngine> engine =
+      MakeEngine(spec.ie, &program, spec.config);
   Tuple all_null(std::vector<Value>(spec.ie.schema().size(), Value::Null()));
-  ChaseOutcome resumed = engine.ResumeWith(all_null);
+  ChaseOutcome resumed = engine->ResumeWith(all_null);
   ASSERT_TRUE(resumed.church_rosser);
   ASSERT_EQ(resumed.orders.size(),
             static_cast<size_t>(spec.ie.schema().size()));
   // t0 ⪯ t1 on rnds (16 < 27 within NBA, phi1).
   EXPECT_TRUE(resumed.orders[spec.ie.schema().MustIndexOf("rnds")].Reaches(0, 1));
+  // The materialized orders are exactly those of a from-scratch run.
+  const ChaseOutcome full = engine->Run(all_null);
+  ASSERT_EQ(full.orders.size(), resumed.orders.size());
+  for (std::size_t a = 0; a < full.orders.size(); ++a) {
+    EXPECT_EQ(resumed.orders[a].successor_words(),
+              full.orders[a].successor_words())
+        << "attr " << a;
+  }
 }
 
 /// One generated med entity with at least `min_nulls` revisable
@@ -190,8 +226,7 @@ struct SessionFixture {
   std::vector<std::pair<AttrId, Value>> reveals;  ///< null attr -> truth
 };
 
-std::optional<SessionFixture> FindSessionFixture(CheckStrategy strategy,
-                                                 std::size_t min_nulls) {
+std::optional<SessionFixture> FindSessionFixture(std::size_t min_nulls) {
   ProfileConfig config = MedConfig(/*seed=*/123);
   config.num_entities = 20;
   config.master_size = 30;
@@ -201,7 +236,6 @@ std::optional<SessionFixture> FindSessionFixture(CheckStrategy strategy,
   for (size_t i = 0; i < dataset.entities.size(); ++i) {
     SessionFixture fx;
     fx.spec = dataset.SpecFor(static_cast<int>(i));
-    fx.spec.config.check_strategy = strategy;
     GroundProgram program =
         Instantiate(fx.spec.ie, fx.spec.masters, fx.spec.rules);
     ChaseEngine engine(fx.spec.ie, &program, fx.spec.config);
@@ -219,11 +253,12 @@ std::optional<SessionFixture> FindSessionFixture(CheckStrategy strategy,
 }
 
 TEST_P(ResumeWithStrategy, SessionExtensionMatchesFromScratchEveryRound) {
-  std::optional<SessionFixture> fx = FindSessionFixture(GetParam(), 3);
+  std::optional<SessionFixture> fx = FindSessionFixture(3);
   ASSERT_TRUE(fx.has_value());
   GroundProgram program =
       Instantiate(fx->spec.ie, fx->spec.masters, fx->spec.rules);
-  ChaseEngine engine(fx->spec.ie, &program, fx->spec.config);
+  std::unique_ptr<ChaseEngine> engine =
+      MakeEngine(fx->spec.ie, &program, fx->spec.config);
 
   // Cumulative reveals, as DriveInteraction issues them: every round must
   // match the from-scratch chase of the same designated values.
@@ -231,8 +266,8 @@ TEST_P(ResumeWithStrategy, SessionExtensionMatchesFromScratchEveryRound) {
   Tuple cumulative(std::vector<Value>(num_attrs, Value::Null()));
   for (const auto& [attr, value] : fx->reveals) {
     cumulative.set(attr, value);
-    ChaseOutcome full = engine.Run(cumulative);
-    ChaseOutcome resumed = engine.ResumeWith(cumulative);
+    ChaseOutcome full = engine->Run(cumulative);
+    ChaseOutcome resumed = engine->ResumeWith(cumulative);
     ASSERT_EQ(full.church_rosser, resumed.church_rosser) << "attr " << attr;
     if (full.church_rosser) {
       EXPECT_EQ(full.target, resumed.target) << "attr " << attr;
@@ -241,8 +276,8 @@ TEST_P(ResumeWithStrategy, SessionExtensionMatchesFromScratchEveryRound) {
   // A non-extending revision after the session grew: back to round one.
   Tuple fresh(std::vector<Value>(num_attrs, Value::Null()));
   fresh.set(fx->reveals[1].first, fx->reveals[1].second);
-  ChaseOutcome full = engine.Run(fresh);
-  ChaseOutcome resumed = engine.ResumeWith(fresh);
+  ChaseOutcome full = engine->Run(fresh);
+  ChaseOutcome resumed = engine->ResumeWith(fresh);
   ASSERT_EQ(full.church_rosser, resumed.church_rosser);
   if (full.church_rosser) {
     EXPECT_EQ(full.target, resumed.target);
@@ -250,9 +285,10 @@ TEST_P(ResumeWithStrategy, SessionExtensionMatchesFromScratchEveryRound) {
 }
 
 TEST_P(ResumeWithStrategy, AbortedResumeKeepsSessionUsable) {
-  Specification spec = WithStrategy(IncompleteMjSpec());
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
-  ChaseEngine engine(spec.ie, &program, spec.config);
+  std::unique_ptr<ChaseEngine> engine =
+      MakeEngine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();
 
   Tuple good(std::vector<Value>(schema.size(), Value::Null()));
@@ -260,17 +296,17 @@ TEST_P(ResumeWithStrategy, AbortedResumeKeepsSessionUsable) {
   Tuple bad = good;
   bad.set(schema.MustIndexOf("league"), Value::Str("SL"));
 
-  ChaseOutcome first = engine.ResumeWith(good);
+  ChaseOutcome first = engine->ResumeWith(good);
   ASSERT_TRUE(first.church_rosser);
   // Extends the session's applied values but aborts mid-chase; the
   // session must roll back to its last valid state.
-  ChaseOutcome aborted = engine.ResumeWith(bad);
+  ChaseOutcome aborted = engine->ResumeWith(bad);
   EXPECT_FALSE(aborted.church_rosser);
   EXPECT_FALSE(aborted.violation.empty());
-  ChaseOutcome again = engine.ResumeWith(good);
+  ChaseOutcome again = engine->ResumeWith(good);
   ASSERT_TRUE(again.church_rosser);
   EXPECT_EQ(first.target, again.target);
-  EXPECT_EQ(engine.Run(good).target, again.target);
+  EXPECT_EQ(engine->Run(good).target, again.target);
 }
 
 TEST(ResumeWithStats, ReportsPerCallDeltas) {
@@ -281,67 +317,59 @@ TEST(ResumeWithStats, ReportsPerCallDeltas) {
   Tuple revision = all_null;
   revision.set(schema.MustIndexOf("arena"), Value::Str("United Center"));
 
-  for (CheckStrategy strategy :
-       {CheckStrategy::kTrail, CheckStrategy::kCopy}) {
-    spec.config.check_strategy = strategy;
-    ChaseEngine engine(spec.ie, &program, spec.config);
-    const ChaseOutcome checkpoint = engine.RunFromCheckpoint();
-    ASSERT_TRUE(checkpoint.church_rosser);
+  ChaseEngine engine(spec.ie, &program, spec.config);
+  const ChaseOutcome checkpoint = engine.RunFromCheckpoint();
+  ASSERT_TRUE(checkpoint.church_rosser);
 
-    // Resuming with nothing new performs no work: the checkpoint chase
-    // must not be re-reported (the pre-fix behaviour double-counted it
-    // in every round's stats).
-    ChaseOutcome nothing = engine.ResumeWith(all_null);
-    EXPECT_EQ(nothing.stats.steps_applied, 0) << CheckStrategyName(strategy);
-    EXPECT_EQ(nothing.stats.pairs_derived, 0) << CheckStrategyName(strategy);
-    EXPECT_EQ(nothing.stats.ground_steps, checkpoint.stats.ground_steps);
+  // Resuming with nothing new performs no work: the checkpoint chase
+  // must not be re-reported (the pre-fix behaviour double-counted it
+  // in every round's stats).
+  ChaseOutcome nothing = engine.ResumeWith(all_null);
+  EXPECT_EQ(nothing.stats.steps_applied, 0);
+  EXPECT_EQ(nothing.stats.pairs_derived, 0);
+  EXPECT_EQ(nothing.stats.ground_steps, checkpoint.stats.ground_steps);
 
-    // A real revision reports only its own work, and summing rounds
-    // cannot double-count: under kTrail the second identical call
-    // extends the session and reports zero; under kCopy it redoes (and
-    // so re-reports) the same continuation.
-    ChaseOutcome first = engine.ResumeWith(revision);
-    ASSERT_TRUE(first.church_rosser);
-    EXPECT_GT(first.stats.pairs_derived, 0);
-    EXPECT_LT(first.stats.pairs_derived, checkpoint.stats.pairs_derived);
-    ChaseOutcome second = engine.ResumeWith(revision);
-    ASSERT_TRUE(second.church_rosser);
-    if (strategy == CheckStrategy::kTrail) {
-      EXPECT_EQ(second.stats.pairs_derived, 0);
-      EXPECT_EQ(second.stats.steps_applied, 0);
-    } else {
-      EXPECT_EQ(second.stats.pairs_derived, first.stats.pairs_derived);
-      EXPECT_EQ(second.stats.steps_applied, first.stats.steps_applied);
-    }
-  }
+  // A real revision reports only its own work, and summing rounds
+  // cannot double-count: the second identical call extends the session
+  // and reports zero.
+  ChaseOutcome first = engine.ResumeWith(revision);
+  ASSERT_TRUE(first.church_rosser);
+  EXPECT_GT(first.stats.pairs_derived, 0);
+  EXPECT_LT(first.stats.pairs_derived, checkpoint.stats.pairs_derived);
+  ChaseOutcome second = engine.ResumeWith(revision);
+  ASSERT_TRUE(second.church_rosser);
+  EXPECT_EQ(second.stats.pairs_derived, 0);
+  EXPECT_EQ(second.stats.steps_applied, 0);
 }
 
-TEST(ResumeWithStats, FirstCallDeltasAgreeAcrossStrategies) {
+TEST(ResumeWithStats, FirstCallDeltasMatchFromScratchRunBeyondCheckpoint) {
   Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   const Schema& schema = spec.ie.schema();
   Tuple revision(std::vector<Value>(schema.size(), Value::Null()));
   revision.set(schema.MustIndexOf("arena"), Value::Str("United Center"));
 
-  spec.config.check_strategy = CheckStrategy::kTrail;
-  ChaseEngine trail(spec.ie, &program, spec.config);
-  spec.config.check_strategy = CheckStrategy::kCopy;
-  ChaseEngine copy(spec.ie, &program, spec.config);
-  // Both continue from the checkpoint (fresh trail session), so the
-  // per-call deltas describe the same derivation.
-  ChaseOutcome t = trail.ResumeWith(revision);
-  ChaseOutcome c = copy.ResumeWith(revision);
-  ASSERT_TRUE(t.church_rosser);
-  ASSERT_TRUE(c.church_rosser);
-  EXPECT_EQ(t.stats.pairs_derived, c.stats.pairs_derived);
-  EXPECT_EQ(t.stats.steps_applied, c.stats.steps_applied);
+  ChaseEngine engine(spec.ie, &program, spec.config);
+  // The first resume continues from the checkpoint (fresh session), so
+  // its per-call delta is exactly what a from-scratch run of the same
+  // revision derives beyond the all-null chase.
+  const ChaseOutcome checkpoint = engine.RunFromCheckpoint();
+  const ChaseOutcome resumed = engine.ResumeWith(revision);
+  const ChaseOutcome full = engine.Run(revision);
+  ASSERT_TRUE(checkpoint.church_rosser);
+  ASSERT_TRUE(resumed.church_rosser);
+  ASSERT_TRUE(full.church_rosser);
+  EXPECT_EQ(resumed.stats.pairs_derived,
+            full.stats.pairs_derived - checkpoint.stats.pairs_derived);
+  EXPECT_EQ(resumed.stats.steps_applied,
+            full.stats.steps_applied - checkpoint.stats.steps_applied);
 }
 
 TEST(ResumeWith, CandidateChecksPristineAcrossSessionActivity) {
-  // The kTrail check probe state and the resume session state are
+  // The check probe state and the resume session state are
   // separate; resumes (including aborting ones) must not disturb
   // candidate verdicts, and vice versa.
-  Specification spec = IncompleteMjSpec();  // default strategy: trail
+  Specification spec = IncompleteMjSpec();
   GroundProgram program = Instantiate(spec.ie, spec.masters, spec.rules);
   ChaseEngine engine(spec.ie, &program, spec.config);
   const Schema& schema = spec.ie.schema();

@@ -1,8 +1,12 @@
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/accuracy_service.h"
 #include "chase/chase_engine.h"
 #include "io/spec_io.h"
 #include "mj_fixture.h"
@@ -99,6 +103,35 @@ TEST(SpecIo, ConfigIsApplied) {
   EXPECT_FALSE(doc.value().spec.config.builtin_axioms);
   EXPECT_TRUE(doc.value().spec.config.keep_orders);
   EXPECT_EQ(doc.value().spec.config.max_actions, 99);
+
+  // A retired config key — "check_strategy" once chose between two
+  // candidate-check paths with identical output — is ignored like any
+  // unknown key: older documents still load and rank the same.
+  SpecDocument open_arena = MjDocument();
+  std::erase_if(open_arena.spec.rules,
+                [](const AccuracyRule& r) { return r.name == "phi11"; });
+  const Json plain = SpecToJson(open_arena);
+  const Json retired = [&plain] {
+    Json json = plain;
+    Json config = *json.Find("config");
+    config.Set("check_strategy", Json::Str("copy"));
+    json.Set("config", std::move(config));
+    return json;
+  }();
+  std::vector<TopKResult> ranked;
+  for (const Json* json : {&plain, &retired}) {
+    Result<SpecDocument> loaded = SpecFromJsonText(json->Dump(2));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    Result<std::unique_ptr<AccuracyService>> service =
+        AccuracyService::Create(std::move(loaded.value().spec));
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    Result<TopKResult> topk = service.value()->TopK(3);
+    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+    ranked.push_back(std::move(topk).value());
+  }
+  EXPECT_FALSE(ranked[0].targets.empty());
+  EXPECT_EQ(ranked[1].targets, ranked[0].targets);
+  EXPECT_EQ(ranked[1].scores, ranked[0].scores);
 }
 
 TEST(SpecIo, IntegerCellWidensForDoubleAttribute) {
