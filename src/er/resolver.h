@@ -16,10 +16,13 @@ struct ResolverConfig {
   /// Attributes whose (concatenated, lower-cased) values identify an
   /// entity; pairwise similarity is computed over this key.
   std::vector<AttrId> key_attrs;
-  /// Blocking: tuples sharing the first `block_prefix` characters of the
-  /// normalized key land in one block; only intra-block pairs are compared.
+  /// Blocking: tuples sharing the first `block_prefix` bytes of the
+  /// normalized key land in one block; only intra-block pairs can match.
+  /// `block_prefix <= 0` puts every tuple in one block.
   int block_prefix = 3;
-  /// Pairs at least this similar (trigram Jaccard over the key) match.
+  /// Intra-block pairs at least this similar (TrigramJaccard over the
+  /// key) match. At or below 0 every intra-block pair matches; above 1
+  /// none does.
   double similarity_threshold = 0.75;
 };
 
@@ -44,7 +47,13 @@ class UnionFind {
 };
 
 /// Groups the tuples of `flat` into entity instances: normalize keys,
-/// block, match pairs by similarity, cluster with union-find.
+/// block, match pairs by similarity, cluster with union-find (the
+/// transitive closure of the matching pairs). Each block is matched by a
+/// prefix-filtered trigram join (AllPairs-style: rarest grams first, an
+/// inverted index over each key's gram prefix, a size filter, then the
+/// exact Jaccard test); the join is exact, so the clusters are those of
+/// comparing every intra-block pair. Clusters are numbered in order of
+/// their first tuple.
 ResolutionResult ResolveEntities(const Relation& flat,
                                  const ResolverConfig& config);
 

@@ -108,11 +108,16 @@ Result<Relation> RelationFromJson(const Json& obj, const std::string& where,
       std::vector<Value> values;
       values.reserve(row.size());
       for (int c = 0; c < row.size(); ++c) {
-        Result<Value> v = ValueFromJson(
-            row.at(c), schema.value().type(c),
-            where + " row " + std::to_string(r) + " column '" +
-                schema.value().name(c) + "'");
-        if (!v.ok()) return v.status();
+        const ValueType type = schema.value().type(c);
+        Result<Value> v = ValueFromJson(row.at(c), type, where);
+        if (!v.ok()) {
+          // The row/column context is built only for the error message:
+          // building it for every cell was most of a large spec's load.
+          return ValueFromJson(row.at(c), type,
+                               where + " row " + std::to_string(r) +
+                                   " column '" + schema.value().name(c) + "'")
+              .status();
+        }
         values.push_back(std::move(v).value());
       }
       relation.Add(Tuple(std::move(values)));

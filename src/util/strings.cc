@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <unordered_set>
 
 namespace relacc {
 
@@ -64,20 +63,41 @@ double EditSimilarity(std::string_view a, std::string_view b) {
   return 1.0 - static_cast<double>(EditDistance(a, b)) / static_cast<double>(m);
 }
 
-double TrigramJaccard(std::string_view a, std::string_view b) {
-  if (a.size() < 3 || b.size() < 3) return EditSimilarity(a, b);
-  auto grams = [](std::string_view s) {
-    std::unordered_set<std::string> g;
-    for (std::size_t i = 0; i + 3 <= s.size(); ++i) g.emplace(s.substr(i, 3));
-    return g;
+std::vector<uint32_t> TrigramIds(std::string_view s) {
+  const auto byte = [s](std::size_t i) {
+    return static_cast<uint32_t>(static_cast<unsigned char>(s[i]));
   };
-  const auto ga = grams(a);
-  const auto gb = grams(b);
+  std::vector<uint32_t> ids;
+  for (std::size_t i = 0; i + 3 <= s.size(); ++i) {
+    ids.push_back(byte(i) << 16 | byte(i + 1) << 8 | byte(i + 2));
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+double SortedSetJaccard(std::span<const uint32_t> a,
+                        std::span<const uint32_t> b) {
   std::size_t inter = 0;
-  for (const auto& g : ga) inter += gb.count(g);
-  const std::size_t uni = ga.size() + gb.size() - inter;
+  for (std::size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++inter;
+      ++i;
+      ++j;
+    }
+  }
+  const std::size_t uni = a.size() + b.size() - inter;
   if (uni == 0) return 1.0;
   return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+double TrigramJaccard(std::string_view a, std::string_view b) {
+  if (a.size() < 3 || b.size() < 3) return EditSimilarity(a, b);
+  return SortedSetJaccard(TrigramIds(a), TrigramIds(b));
 }
 
 }  // namespace relacc

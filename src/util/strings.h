@@ -1,6 +1,8 @@
 #ifndef RELACC_UTIL_STRINGS_H_
 #define RELACC_UTIL_STRINGS_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,8 +27,18 @@ std::size_t EditDistance(std::string_view a, std::string_view b);
 /// 1 - EditDistance / max(len); 1.0 for two empty strings.
 double EditSimilarity(std::string_view a, std::string_view b);
 
-/// Jaccard similarity over character trigrams; falls back to
-/// EditSimilarity for strings shorter than 3 characters.
+/// The distinct byte trigrams of `s`, each packed into a 24-bit id (first
+/// byte in the high bits), sorted ascending. Empty when `s` is shorter
+/// than 3 bytes.
+std::vector<uint32_t> TrigramIds(std::string_view s);
+
+/// |a ∩ b| / |a ∪ b| for two ascending, duplicate-free id sets; 1.0 when
+/// both are empty.
+double SortedSetJaccard(std::span<const uint32_t> a,
+                        std::span<const uint32_t> b);
+
+/// Jaccard similarity over the TrigramIds of `a` and `b`; falls back to
+/// EditSimilarity for strings shorter than 3 bytes.
 double TrigramJaccard(std::string_view a, std::string_view b);
 
 }  // namespace relacc

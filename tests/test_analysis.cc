@@ -6,6 +6,7 @@
 // regression fails here before any consumer notices.
 
 #include <algorithm>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,6 +87,12 @@ struct BadSpecCase {
   int column;
   int exit_with_werror;  // 4 for errors+warnings, 0 for notes
 };
+
+// Without this gtest prints the case as raw bytes, pointer values included,
+// and gtest_discover_tests bakes them into the CTest names.
+void PrintTo(const BadSpecCase& c, std::ostream* os) {
+  *os << c.file << " [" << c.check << "]";
+}
 
 class BadSpecMatrix : public ::testing::TestWithParam<BadSpecCase> {};
 

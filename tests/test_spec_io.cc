@@ -152,6 +152,8 @@ TEST(SpecIo, RejectsTypeMismatchedCell) {
   Result<SpecDocument> doc = SpecFromJsonText(text);
   ASSERT_FALSE(doc.ok());
   EXPECT_NE(doc.status().message().find("'x'"), std::string::npos);
+  EXPECT_NE(doc.status().message().find("entity row 0 column 'x'"),
+            std::string::npos);
 }
 
 TEST(SpecIo, RejectsArityMismatch) {
